@@ -175,9 +175,16 @@ def _add_run_args(parser):
                         help="eJ[:amp] | hf[:amp] | file:PATH (default e1, or hf:10 for hubbard)")
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--max-col-access", type=int, default=100_000_000)
-    parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--seeds", type=_positive_int, default=20)
     parser.add_argument("--trace-stride", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for trace/summary CSVs")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -231,6 +238,9 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    seeds = int(cfg.get("seeds", 20))
+    if seeds < 1:
+        raise UsageError(f"bench config: seeds must be >= 1, got {seeds}")
     ns = argparse.Namespace(
         matrix=cfg.get("matrix"), synthetic=cfg.get("synthetic"),
         hubbard=cfg.get("hubbard"), scale=cfg.get("scale", 1.0),
@@ -240,7 +250,6 @@ def cmd_bench(args) -> int:
     x0 = parse_x0(cfg.get("x0", "default"), oracle, kind)
     tol = float(cfg.get("tol", 1e-6))
     budget = int(cfg.get("max_col_access", 100_000_000))
-    seeds = int(cfg.get("seeds", 20))
     stride = int(cfg.get("trace_stride", 0))
     out_dir = args.out or cfg.get("out", "bench-out")
     results = []

@@ -119,15 +119,10 @@ def compute_reference(oracle: ColumnOracle,
     n = oracle.dim
     frob_sq = frobenius_norm_sq(oracle)
     if n <= dense_cutoff:
-        dense = np.empty((n, n))
+        dense = np.zeros((n, n))
         with oracle.counting_paused():
             for j in range(n):
-                rows, vals = oracle.column(j)
-                if rows is None:
-                    dense[:, j] = vals
-                else:
-                    dense[:, j] = 0.0
-                    dense[rows, j] = vals
+                oracle.add_column(j, 1.0, dense[:, j])
         vals, vecs = np.linalg.eigh(dense)
         lam1, lam2 = float(vals[-1]), float(vals[-2])
         v1 = vecs[:, -1]
@@ -227,13 +222,6 @@ def _lower_median(values: list[int]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-_DETERMINISTIC_PICKS = {"cyclic", "gauss_southwell", "greedy_ls", "all", "pm"}
-
-
-def is_deterministic(config: StrategyConfig) -> bool:
-    return config.pick in _DETERMINISTIC_PICKS
-
-
 def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                tol: float, max_col_access: int, seed: int,
                reference: ReferenceSolution, x_ref: np.ndarray | None = None,
@@ -251,7 +239,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     start_count = oracle.access_count
     state = init_state(oracle, x0, rng=np.random.default_rng(seed))
     is_pm = config.pick == "pm"
-    k_per_step = oracle.dim if config.pick in ("pm", "all") else config.k
+    k_per_step = config.columns_per_step(oracle.dim)
 
     trace: list[TraceRecord] = []
 
@@ -335,7 +323,7 @@ def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     config.validate()
     if reference is None:
         reference = compute_reference(oracle)
-    n_runs = 1 if is_deterministic(config) else seeds
+    n_runs = 1 if config.deterministic else seeds
     outcomes = [run_single(oracle, config, x0, tol, max_col_access, seed_i,
                            reference, x_ref=x_ref, trace_stride=trace_stride,
                            stall_checks=stall_checks)
@@ -346,7 +334,7 @@ def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         raise AllSeedsFailed(
             f"{label or config.pick}: no seed converged "
             f"(statuses: {sorted({o.status for o in outcomes})})")
-    k_per_step = oracle.dim if config.pick in ("pm", "all") else config.k
+    k_per_step = config.columns_per_step(oracle.dim)
     med = _lower_median(converged)
     stats = RunStats(
         min_iters=min(converged),

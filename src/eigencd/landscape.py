@@ -122,11 +122,7 @@ def descend_to_stationary(a: np.ndarray, x0: np.ndarray, grad_tol: float = 1e-8,
         vtx = float(v @ x)
         vtz = float(v @ z)
         vav = float(v @ w)
-        coeffs = engine.CubicCoeffs(
-            b=3.0 * vtx / nv2,
-            c=(nu * nv2 + 2.0 * vtx * vtx - vav) / (nv2 * nv2),
-            d=(nu * vtx - vtz) / (nv2 * nv2),
-        )
+        coeffs = engine.direction_cubic(nu, nv2, vtx, vtz, vav)
         x = x + engine.solve_cubic_min(coeffs) * v
     return x
 

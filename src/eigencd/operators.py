@@ -9,7 +9,6 @@ pollutes a solver budget.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,11 +21,12 @@ Column = tuple["np.ndarray | None", np.ndarray]
 class ColumnOracle(ABC):
     """Symmetric matrix of order ``dim`` exposed one column at a time.
 
-    ``column(j)`` returns ``(rows, values)``; ``rows is None`` means the
+    ``column(j)`` returns ``(rows, values)``; ``rows`` of ``None`` means the
     values cover every row (dense column).  Sparse implementations return
     row indices sorted ascending.  Each ``column`` call increments the
     access counter by exactly one; ``diag`` reads are free.  Returned
-    arrays may be views and must not be modified by callers.
+    arrays may be views and must not be modified by callers; solvers add
+    columns into vectors through :meth:`add_column` only.
     """
 
     def __init__(self, dim: int):
@@ -35,7 +35,6 @@ class ColumnOracle(ABC):
         self._dim = int(dim)
         self._accesses = 0
         self._counting = True
-        self._count_lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -47,8 +46,7 @@ class ColumnOracle(ABC):
         return self._accesses
 
     def reset_access_count(self) -> None:
-        with self._count_lock:
-            self._accesses = 0
+        self._accesses = 0
 
     @contextmanager
     def counting_paused(self):
@@ -64,9 +62,21 @@ class ColumnOracle(ABC):
         if not 0 <= j < self._dim:
             raise IndexError(f"column index {j} out of range for dim {self._dim}")
         if self._counting:
-            with self._count_lock:
-                self._accesses += 1
+            self._accesses += 1
         return self._column(j)
+
+    def add_column(self, j: int, coeff: float, out: np.ndarray) -> None:
+        """``out += coeff * A[:, j]``: the one way a column enters a vector.
+
+        Makes exactly one :meth:`column` call, so it charges one access even
+        when ``coeff == 0`` (the addition is then skipped).
+        """
+        rows, vals = self.column(j)
+        if coeff != 0.0:
+            if rows is None:
+                out += coeff * vals
+            else:
+                out[rows] += coeff * vals
 
     @abstractmethod
     def _column(self, j: int) -> Column:
@@ -87,11 +97,7 @@ class ColumnOracle(ABC):
         y = np.zeros(self._dim)
         with self.counting_paused():
             for j in np.flatnonzero(x):
-                rows, vals = self.column(int(j))
-                if rows is None:
-                    y += x[j] * vals
-                else:
-                    y[rows] += x[j] * vals
+                self.add_column(int(j), x[j], y)
         return y
 
     def diag_vector(self) -> np.ndarray:
@@ -217,38 +223,26 @@ def shift_scale(oracle: ColumnOracle, a: float, b: float) -> ShiftScaled:
     return ShiftScaled(oracle, a, b)
 
 
-def _column_values(oracle: ColumnOracle, j: int) -> np.ndarray:
-    return oracle.column(j)[1]
+def _uncounted_columns(oracle: ColumnOracle):
+    """Values of every column in order, one ``column`` call each, uncounted."""
+    with oracle.counting_paused():
+        for j in range(oracle.dim):
+            yield oracle.column(j)[1]
 
 
 def column_norm_max(oracle: ColumnOracle) -> float:
     """``max_j ||A[:, j]||_2`` by one uncounted streaming pass."""
-    best = 0.0
-    with oracle.counting_paused():
-        for j in range(oracle.dim):
-            v = _column_values(oracle, j)
-            best = max(best, float(np.sqrt(v @ v)))
-    return best
+    return max(float(np.sqrt(v @ v)) for v in _uncounted_columns(oracle))
 
 
 def frobenius_norm_sq(oracle: ColumnOracle) -> float:
     """``sum_ij A[i, j]**2`` by one uncounted streaming pass."""
-    total = 0.0
-    with oracle.counting_paused():
-        for j in range(oracle.dim):
-            v = _column_values(oracle, j)
-            total += float(v @ v)
-    return total
+    return sum(float(v @ v) for v in _uncounted_columns(oracle))
 
 
 def column_abs_sum_max(oracle: ColumnOracle) -> float:
     """``max_j sum_i |A[i, j]|``; upper bound on the spectral radius."""
-    best = 0.0
-    with oracle.counting_paused():
-        for j in range(oracle.dim):
-            v = _column_values(oracle, j)
-            best = max(best, float(np.abs(v).sum()))
-    return best
+    return max(float(np.abs(v).sum()) for v in _uncounted_columns(oracle))
 
 
 def max_abs_diag(oracle: ColumnOracle) -> float:
@@ -276,6 +270,11 @@ def load_dense(path) -> DenseSymmetric:
     if body.size != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {body.size}")
     a = body.reshape(n, n)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite entry {a[i, j]} at row {i + 1}, "
+                         f"column {j + 1}")
     scale = np.abs(a).max() or 1.0
     if np.abs(a - a.T).max() > 1e-8 * scale:
         raise ValueError(f"{path}: matrix is not symmetric")

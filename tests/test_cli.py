@@ -106,6 +106,26 @@ class TestCommands:
     def test_solve_requires_one_source(self, capsys):
         assert main(["solve", "--method", "PM"]) == 2
 
+    def test_non_finite_matrix_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1.0 2.0\n2.0 nan\n")
+        assert main(["solve", "--matrix", str(path), "--method", "PM"]) == 2
+        assert "non-finite entry nan at row 2, column 2" in capsys.readouterr().err
+
+    def test_zero_seeds_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--synthetic", "n=10,l1=5,lo=1,hi=4",
+                  "--method", "SCD-Uni-LS", "--seeds", "0"])
+        assert exc.value.code == 2
+        assert "--seeds: expected a positive integer" in capsys.readouterr().err
+
+    def test_bench_zero_seeds_refused(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", "seeds": 0,
+                                    "methods": [{"name": "SCD-Uni-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "seeds must be >= 1, got 0" in capsys.readouterr().err
+
     def test_bench_config(self, tmp_path, capsys):
         cfg = {
             "synthetic": "n=40,l1=8,lo=0.5,hi=4,seed=1",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eigencd.cli import METHOD_TABLE, parse_method
 from eigencd.engine import (CubicCoeffs, StationaryIterate, StrategyConfig,
                             coord_cubic, cubic_min_roots, delta_f, init_state,
                             pick_cyclic, pick_gauss_southwell, pick_grad_power,
@@ -316,6 +317,47 @@ class TestStep:
             StrategyConfig(pick="cyclic", update="fixed_grad").validate()  # no gamma
         with pytest.raises(ValueError):
             StrategyConfig(pick="nope", update="coord_ls").validate()
+
+
+# method -> (k, runs ignore their seed, column accesses per iteration at n = 30)
+METHOD_ACCOUNTING = {
+    "CD-Cyc-Grad": (1, True, 1),
+    "CD-Cyc-LS": (1, True, 1),
+    "GCD-Grad-LS": (1, True, 1),
+    "GCD-LS-LS": (3, True, 3),
+    "SCD-Grad-LS": (3, False, 3),
+    "SCD-Grad-vecLS": (3, False, 3),
+    "SCD-Uni-LS": (3, False, 3),
+    "SCD-Uni-Grad": (3, False, 3),
+    "Grad-vecLS": (1, True, 30),
+    "PM": (1, True, 30),
+}
+
+
+class TestStrategyAccounting:
+    def test_table_covers_every_method(self):
+        assert set(METHOD_ACCOUNTING) == set(METHOD_TABLE)
+
+    @pytest.mark.parametrize("name", sorted(METHOD_TABLE))
+    def test_deterministic_and_columns_per_step(self, small_synthetic, name):
+        k, deterministic, per_step = METHOD_ACCOUNTING[name]
+        config = parse_method(name, k=k, gamma=stepsize_bound(small_synthetic))
+        assert config.deterministic is deterministic
+        assert config.columns_per_step(30) == per_step
+        # both facts hold for real iterations: 4 steps charge 4 * per_step,
+        # and two seeds reach the same iterate exactly when deterministic
+        finals = []
+        for seed in (0, 1):
+            state = fresh_state(small_synthetic, np.eye(30)[0] + 0.1, seed=seed)
+            base = small_synthetic.access_count
+            for _ in range(4):
+                if config.pick == "pm":
+                    power_method_step(state)
+                else:
+                    step(state, config)
+            assert small_synthetic.access_count - base == 4 * per_step
+            finals.append(state.x.copy())
+        assert np.array_equal(*finals) is deterministic
 
 
 class TestVecLS:

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
                                column_abs_sum_max, column_norm_max,
                                frobenius_norm_sq, load_dense, max_abs_diag,
                                save_dense, shift_scale)
+
+
+class NonzerosOnly(DenseSymmetric):
+    """Dense storage served as sparse columns of the nonzero entries only."""
+
+    def _column(self, j):
+        rows = np.flatnonzero(self._a[:, j])
+        return rows, self._a[rows, j]
 
 
 def dense_from_columns(oracle):
@@ -92,14 +101,9 @@ class TestShiftScale:
 
     def test_sparse_column_insert(self):
         # a matrix with a structurally zero diagonal entry in sparse form
-        class TwoEntries(DenseSymmetric):
-            def _column(self, j):
-                rows = np.flatnonzero(self._a[:, j])
-                return rows, self._a[rows, j]
-
         m = np.zeros((3, 3))
         m[0, 1] = m[1, 0] = 2.0
-        oracle = TwoEntries(m)
+        oracle = NonzerosOnly(m)
         rows, vals = shift_scale(oracle, 1.0, 5.0).column(1)
         assert rows.tolist() == [0, 1]
         assert vals.tolist() == [2.0, 5.0]
@@ -109,6 +113,70 @@ class TestShiftScale:
         x = np.arange(30, dtype=float)
         expect = 2.0 * small_synthetic.array @ x - 3.0 * x
         assert np.allclose(wrapped.matvec(x), expect, atol=1e-12)
+
+
+def _sparse_without_diagonal():
+    m = build_synthetic(SpectrumSpec.gapped_grid(12, 6.0, 0.5, 4.0, seed=8)).array
+    m[np.abs(m) < 0.05] = 0.0  # sparsify, keeping the matrix symmetric
+    m[[2, 5, 9], [2, 5, 9]] = 0.0
+    return NonzerosOnly(m)
+
+
+CONTRACT_ORACLES = {
+    "dense": lambda: build_synthetic(SpectrumSpec.gapped_grid(12, 6.0, 0.5, 4.0, seed=7)),
+    "shift-dense": lambda: shift_scale(
+        build_synthetic(SpectrumSpec.gapped_grid(12, 6.0, 0.5, 4.0, seed=7)), -1.5, 4.0),
+    "shift-sparse-no-diag": lambda: shift_scale(_sparse_without_diagonal(), 2.0, 3.0),
+    "hubbard": lambda: HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)),
+}
+
+
+@pytest.fixture(params=sorted(CONTRACT_ORACLES))
+def contract_oracle(request):
+    return CONTRACT_ORACLES[request.param]()
+
+
+class TestAddColumnContract:
+    def test_diag_is_the_stored_diagonal_entry(self, contract_oracle):
+        with contract_oracle.counting_paused():
+            for j in range(contract_oracle.dim):
+                rows, vals = contract_oracle.column(j)
+                if rows is None:
+                    stored = vals[j]
+                else:
+                    (pos,) = np.flatnonzero(rows == j)
+                    stored = vals[pos]
+                assert contract_oracle.diag(j) == stored
+
+    def test_no_diagonal_entry_takes_the_insert_path(self):
+        base = _sparse_without_diagonal()
+        assert 5 not in base.column(5)[0]
+        rows, vals = shift_scale(base, 2.0, 3.0).column(5)
+        assert vals[np.flatnonzero(rows == 5)].tolist() == [3.0]
+
+    @pytest.mark.parametrize("coeff", [0.0, 1.0, -0.75])
+    def test_charges_one_access_per_call(self, contract_oracle, coeff):
+        out = np.zeros(contract_oracle.dim)
+        before = contract_oracle.access_count
+        for j in range(contract_oracle.dim):
+            contract_oracle.add_column(j, coeff, out)
+        assert contract_oracle.access_count - before == contract_oracle.dim
+        if coeff == 0.0:
+            assert not out.any()
+
+    def test_matches_dense_algebra(self, contract_oracle):
+        n = contract_oracle.dim
+        dense = np.column_stack([contract_oracle.matvec(e) for e in np.eye(n)])
+        rng = np.random.default_rng(0)
+        for j in (0, n // 2, n - 1):
+            out = rng.standard_normal(n)
+            expect = out + 0.3 * dense[:, j]
+            contract_oracle.add_column(j, 0.3, out)
+            np.testing.assert_allclose(out, expect, rtol=0, atol=1e-13)
+        strided = np.zeros((n, n))
+        for j in range(n):
+            contract_oracle.add_column(j, 1.0, strided[:, j])
+        np.testing.assert_allclose(strided, dense, rtol=0, atol=1e-13)
 
 
 class TestStreamingPasses:
@@ -136,7 +204,22 @@ class TestStreamingPasses:
         before = small_synthetic.access_count
         column_norm_max(small_synthetic)
         frobenius_norm_sq(small_synthetic)
+        column_abs_sum_max(small_synthetic)
         assert small_synthetic.access_count == before
+
+    def test_each_pass_reads_every_column_once(self, small_synthetic):
+        calls = []
+
+        class Recording(DenseSymmetric):
+            def _column(self, j):
+                calls.append(j)
+                return super()._column(j)
+
+        oracle = Recording(small_synthetic.array)
+        for survey in (column_norm_max, frobenius_norm_sq, column_abs_sum_max):
+            calls.clear()
+            survey(oracle)
+            assert calls == list(range(oracle.dim))
 
 
 class TestAccessCounting:
