@@ -128,30 +128,34 @@ def _build_oracle(args) -> tuple[ColumnOracle, str]:
 
 def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
     """Initial vectors: ``eJ[:amp]``, ``hf[:amp]``, or ``file:PATH``."""
-    x0 = np.zeros(oracle.dim)
     if spec == "default":
         spec = "hf:10" if kind == "hubbard" else "e1"
     if spec.startswith("file:"):
-        data = np.loadtxt(spec[5:])
-        if data.shape != (oracle.dim,):
-            raise UsageError(f"x0 file has shape {data.shape}, expected ({oracle.dim},)")
-        return data.astype(float)
-    body, _, amp_str = spec.partition(":")
-    amp = float(amp_str) if amp_str else 1.0
-    if body == "hf":
-        base = oracle
-        while not isinstance(base, HubbardOracle):
-            base = getattr(base, "base", None)
-            if base is None:
-                raise UsageError("x0=hf needs a hubbard matrix source")
-        x0[base.hf_index] = amp
-    elif body.startswith("e"):
-        idx = int(body[1:]) - 1  # e1 is the first coordinate
-        if not 0 <= idx < oracle.dim:
-            raise UsageError(f"x0 index {body} out of range")
-        x0[idx] = amp
+        x0 = np.loadtxt(spec[5:]).astype(float)
+        if x0.shape != (oracle.dim,):
+            raise UsageError(f"x0 file has shape {x0.shape}, expected ({oracle.dim},)")
     else:
-        raise UsageError(f"bad x0 spec {spec!r}")
+        x0 = np.zeros(oracle.dim)
+        body, _, amp_str = spec.partition(":")
+        amp = float(amp_str) if amp_str else 1.0
+        if body == "hf":
+            base = oracle
+            while not isinstance(base, HubbardOracle):
+                base = getattr(base, "base", None)
+                if base is None:
+                    raise UsageError("x0=hf needs a hubbard matrix source")
+            x0[base.hf_index] = amp
+        elif body.startswith("e"):
+            idx = int(body[1:]) - 1  # e1 is the first coordinate
+            if not 0 <= idx < oracle.dim:
+                raise UsageError(f"x0 index {body} out of range")
+            x0[idx] = amp
+        else:
+            raise UsageError(f"bad x0 spec {spec!r}")
+    if not np.isfinite(x0).all():
+        raise UsageError(f"x0 {spec!r} has a non-finite entry")
+    if not x0.any():
+        raise UsageError(f"x0 {spec!r} is the zero vector; the methods need a nonzero start")
     return x0
 
 
@@ -173,10 +177,11 @@ def _add_run_args(parser):
     parser.add_argument("--averaged", type=_parse_bool, default=False)
     parser.add_argument("--x0", default="default",
                         help="eJ[:amp] | hf[:amp] | file:PATH (default e1, or hf:10 for hubbard)")
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--max-col-access", type=int, default=100_000_000)
+    parser.add_argument("--tol", type=_positive_float, default=1e-6)
+    parser.add_argument("--max-col-access", type=_nonnegative_int, default=100_000_000)
     parser.add_argument("--seeds", type=_positive_int, default=20)
-    parser.add_argument("--trace-stride", type=int, default=0)
+    parser.add_argument("--trace-stride", type=_nonnegative_int, default=0,
+                        help="record every Nth iteration; 0 records none")
     parser.add_argument("--out", default=None, help="directory for trace/summary CSVs")
 
 
@@ -184,6 +189,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -239,18 +258,22 @@ def cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     seeds = int(cfg.get("seeds", 20))
-    if seeds < 1:
-        raise UsageError(f"bench config: seeds must be >= 1, got {seeds}")
+    tol = float(cfg.get("tol", 1e-6))
+    budget = int(cfg.get("max_col_access", 100_000_000))
+    stride = int(cfg.get("trace_stride", 0))
+    for key, value, ok, rule in (("seeds", seeds, seeds >= 1, ">= 1"),
+                                 ("tol", tol, tol > 0, "> 0"),
+                                 ("max_col_access", budget, budget >= 0, ">= 0"),
+                                 ("trace_stride", stride, stride >= 0, ">= 0")):
+        if not ok:
+            raise UsageError(f"bench config: {key} must be {rule}, got {value}")
     ns = argparse.Namespace(
         matrix=cfg.get("matrix"), synthetic=cfg.get("synthetic"),
         hubbard=cfg.get("hubbard"), scale=cfg.get("scale", 1.0),
         shift=cfg.get("shift", 0.0))
     oracle, kind = _build_oracle(ns)
-    reference = compute_reference(oracle)
     x0 = parse_x0(cfg.get("x0", "default"), oracle, kind)
-    tol = float(cfg.get("tol", 1e-6))
-    budget = int(cfg.get("max_col_access", 100_000_000))
-    stride = int(cfg.get("trace_stride", 0))
+    reference = compute_reference(oracle)
     out_dir = args.out or cfg.get("out", "bench-out")
     results = []
     failures = 0

@@ -13,6 +13,14 @@ HF basis vector.  Columns are generated on demand from occupation bitmasks;
 the matrix is never required to fit in memory, though desk-scale sectors can
 be assembled into sparse form to speed up reference eigensolves.
 
+One kernel, :func:`_column_kernel`, builds a block of columns at once: numpy
+bit operations on the int64 occupation masks form every move of the block
+as one array over (column, occupied up orbital, occupied down orbital,
+transfer), and each target determinant is found by ``np.searchsorted`` on
+the basis' sorted keys ``(up << n_orb) | down``.  A single on-the-fly column
+is a block of one; :meth:`HubbardOracle.prepare` runs the kernel block by
+block into the CSC arrays.
+
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
 at mode position m picks up (-1)**(number of occupied modes strictly before
@@ -33,7 +41,11 @@ import scipy.sparse as sp
 from .operators import Column, ColumnOracle
 
 DEFAULT_SECTOR_CAP = 5_000_000
+MAX_ORBITALS = 31  # two masks of this many bits pack into one int64 key
 _EPS_QUANTUM = 1e-9
+# Columns per kernel call in prepare(): large enough to amortise numpy call
+# overhead, small enough that the block's candidate arrays stay a few MB.
+_BLOCK_COLUMNS = 256
 
 
 class Determinant(NamedTuple):
@@ -57,6 +69,9 @@ class LatticeSpec:
     def __post_init__(self):
         if self.l1 < 1 or self.l2 < 1:
             raise ValueError(f"lattice sides must be positive, got {self.l1}x{self.l2}")
+        if self.n_orb > MAX_ORBITALS:
+            raise ValueError(f"{self.l1}x{self.l2} lattice has {self.n_orb} orbitals; "
+                             f"at most {MAX_ORBITALS} are supported")
         if not 0 <= self.n_up <= self.n_orb or not 0 <= self.n_down <= self.n_orb:
             raise ValueError(
                 f"electron counts {self.n_up}+{self.n_down} exceed {self.n_orb} orbitals")
@@ -81,17 +96,11 @@ class LatticeSpec:
         return out
 
     @cached_property
-    def _transfer_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        # sub[p][q] = p - q and add[p][q] = p + q, component-wise mod lattice
-        n = self.n_orb
-        sub = [[0] * n for _ in range(n)]
-        add = [[0] * n for _ in range(n)]
-        for p in range(n):
-            p1, p2 = self.orbital_vector(p)
-            for q in range(n):
-                q1, q2 = self.orbital_vector(q)
-                sub[p][q] = self.orbital_index(p1 - q1, p2 - q2)
-                add[p][q] = self.orbital_index(p1 + q1, p2 + q2)
+    def _transfer_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # sub[p, q] = p - q and add[p, q] = p + q, component-wise mod lattice
+        r1, r2 = np.divmod(np.arange(self.n_orb), self.l1)[::-1]
+        sub = (r1[:, None] - r1) % self.l1 + self.l1 * ((r2[:, None] - r2) % self.l2)
+        add = (r1[:, None] + r1) % self.l1 + self.l1 * ((r2[:, None] + r2) % self.l2)
         return sub, add
 
     @cached_property
@@ -133,10 +142,6 @@ def _occupied(mask: int, n_orb: int) -> list[int]:
     return [p for p in range(n_orb) if mask >> p & 1]
 
 
-def _parity_below(mask: int, p: int) -> int:
-    return (mask & ((1 << p) - 1)).bit_count() & 1
-
-
 def hf_determinant(spec: LatticeSpec) -> Determinant:
     """Lowest-dispersion filling per spin, deterministic under degeneracy."""
     up = 0
@@ -153,7 +158,11 @@ class SectorTooLarge(RuntimeError):
 
 
 class MomentumBasis:
-    """All determinants in one total-momentum block, lexicographically sorted."""
+    """All determinants in one total-momentum block, lexicographically sorted.
+
+    ``keys[i] = (up << n_orb) | down`` of determinant ``i`` ascends strictly,
+    so a binary search over ``keys`` is the index of the basis.
+    """
 
     def __init__(self, spec: LatticeSpec, sector_momentum: tuple[int, int],
                  up_masks: np.ndarray, down_masks: np.ndarray):
@@ -161,9 +170,9 @@ class MomentumBasis:
         self.sector_momentum = sector_momentum
         self.up_masks = up_masks
         self.down_masks = down_masks
-        n = spec.n_orb
-        self._index = {(int(u) << n) | int(d): i
-                       for i, (u, d) in enumerate(zip(up_masks, down_masks))}
+        self.keys = (up_masks << spec.n_orb) | down_masks
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ValueError("determinants must be distinct and sorted by (up, down)")
 
     def __len__(self) -> int:
         return self.up_masks.size
@@ -176,7 +185,14 @@ class MomentumBasis:
         return Determinant(int(self.up_masks[i]), int(self.down_masks[i]))
 
     def index_of(self, det: Determinant) -> int:
-        return self._index[(det.up << self.spec.n_orb) | det.down]
+        """Position of ``det`` in the basis; ``KeyError`` if it is not in the sector."""
+        n = self.spec.n_orb
+        if 0 <= det.up < 1 << n and 0 <= det.down < 1 << n:
+            key = (det.up << n) | det.down
+            i = int(np.searchsorted(self.keys, key))
+            if i < self.dim and self.keys[i] == key:
+                return i
+        raise KeyError(f"{det} is not in the sector of momentum {self.sector_momentum}")
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -253,48 +269,87 @@ def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> Mo
     return MomentumBasis(spec, (tgt1, tgt2), ups, downs)
 
 
-def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, j: int,
-                   diag_value: float) -> tuple[list[int], list[float]]:
-    n_orb = spec.n_orb
+def _moves(masks: np.ndarray, table: np.ndarray, q: np.ndarray):
+    """Every move of one electron from occupied ``o`` to ``table[o, q]``.
+
+    Returns the new masks, the Jordan-Wigner parity of the move and whether
+    the destination is empty, each shaped (masks, occupied orbitals, q).
+    """
+    n_orb = table.shape[0]
+    bits = (masks[:, None] >> np.arange(n_orb)) & 1
+    below = np.cumsum(bits, axis=1) - bits  # occupied orbitals strictly below
+    occ = np.nonzero(bits)[1].reshape(masks.size, -1)[:, :, None]
+    dest = table[occ, q]
+    rows = np.arange(masks.size)[:, None, None]
+    allowed = bits[rows, dest] == 0
+    # the annihilation passes below(occ) occupied modes; the creation passes
+    # below(dest), one fewer if the electron left from under dest
+    parity = (below[rows, occ] + below[rows, dest] - (occ < dest)) & 1
+    new = (masks[:, None, None] ^ (1 << occ)) | (1 << dest)
+    return new, parity, allowed
+
+
+def _block_moves(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int):
+    """Up moves ``p -> p - q`` and down moves ``k -> k + q`` of columns ``lo .. hi-1``."""
     sub, add = spec._transfer_tables
-    up = int(basis.up_masks[j])
-    dn = int(basis.down_masks[j])
+    q = np.arange(1, spec.n_orb)
+    return (_moves(basis.up_masks[lo:hi], sub, q),
+            _moves(basis.down_masks[lo:hi], add, q))
+
+
+def _column_counts(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) -> np.ndarray:
+    """Entries per column of :func:`_column_kernel`, without forming them.
+
+    For each transfer q, every allowed up move pairs with every allowed down
+    move; the diagonal adds one.
+    """
+    if spec.u / spec.n_orb == 0.0:
+        return np.ones(hi - lo, dtype=np.int64)
+    (_, _, up_ok), (_, _, dn_ok) = _block_moves(spec, basis, lo, hi)
+    return 1 + (up_ok.sum(axis=1) * dn_ok.sum(axis=1)).sum(axis=1)
+
+
+def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int,
+                   hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``lo .. hi-1`` of H as ``(counts, rows, vals)``.
+
+    Column ``lo + b`` holds the next ``counts[b]`` entries of ``rows`` and
+    ``vals``, ascending by row.  Off-diagonal entries come from the moves
+    ``p -> p - q`` (up) with ``k -> k + q`` (down), ``q != 0``, formed for the
+    whole block as one array over (column, p, k, q).
+    """
+    n_orb = spec.n_orb
+    diag = basis.diagonal[lo:hi]
     amp = spec.u / n_orb
-    index = basis._index
-    rows = [j]
-    vals = [diag_value]
     if amp == 0.0:
-        return rows, vals
-    dn_occ = _occupied(dn, n_orb)
-    for p in _occupied(up, n_orb):
-        s_up_ann = _parity_below(up, p)
-        up_removed = up ^ (1 << p)
-        sub_p = sub[p]
-        for q in range(1, n_orb):
-            tp = sub_p[q]
-            if up_removed >> tp & 1:
-                continue
-            sign_up = 1 - 2 * ((s_up_ann + _parity_below(up_removed, tp)) & 1)
-            up_new = (up_removed | (1 << tp)) << n_orb
-            for k in dn_occ:
-                tk = add[k][q]
-                if dn >> tk & 1:
-                    continue
-                dn_removed = dn ^ (1 << k)
-                sign_dn = 1 - 2 * ((_parity_below(dn, k)
-                                    + _parity_below(dn_removed, tk)) & 1)
-                rows.append(index[up_new | dn_removed | (1 << tk)])
-                vals.append(sign_up * sign_dn * amp)
-    return rows, vals
+        return np.ones(hi - lo, dtype=np.int64), np.arange(lo, hi), diag.copy()
+    (up_new, up_par, up_ok), (dn_new, dn_par, dn_ok) = _block_moves(spec, basis, lo, hi)
+    ok = up_ok[:, :, None, :] & dn_ok[:, None, :, :]
+    counts = ok.sum(axis=(1, 2, 3)) + 1
+    keys = np.concatenate([((up_new[:, :, None, :] << n_orb) | dn_new[:, None, :, :])[ok],
+                           basis.keys[lo:hi]])
+    vals = np.concatenate([
+        np.where((up_par[:, :, None, :] ^ dn_par[:, None, :, :])[ok], -amp, amp), diag])
+    # the narrowest column type lets the stable sort below run as a radix sort
+    cols = np.arange(hi - lo, dtype=np.min_scalar_type(hi - lo))
+    col_of = np.concatenate([np.repeat(cols, counts - 1), cols])
+    # searching with sorted keys keeps the binary search in cache; a stable
+    # sort by column then leaves each column ascending by key, hence by row
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    rows = np.searchsorted(basis.keys, keys)
+    if not np.array_equal(basis.keys.take(rows, mode="clip"), keys):
+        raise KeyError("a Hamiltonian move left the basis: is it a whole momentum sector?")
+    by_col = np.argsort(col_of[by_key], kind="stable")
+    return counts, rows[by_col], vals[by_key[by_col]]
 
 
 def hamiltonian_column(spec: LatticeSpec, basis: MomentumBasis, j: int) -> Column:
     """Sparse column ``H[:, j]`` as (row indices ascending, values)."""
     if not 0 <= j < basis.dim:
         raise IndexError(f"state index {j} out of range for dim {basis.dim}")
-    rows, vals = _column_kernel(spec, basis, j, float(basis.diagonal[j]))
-    order = np.argsort(rows)
-    return np.asarray(rows, dtype=np.int64)[order], np.asarray(vals)[order]
+    _, rows, vals = _column_kernel(spec, basis, j, j + 1)
+    return rows, vals
 
 
 class HubbardOracle(ColumnOracle):
@@ -334,27 +389,27 @@ class HubbardOracle(ColumnOracle):
         return self.basis.index_of(hf_determinant(self.spec))
 
     def prepare(self) -> None:
-        """Assemble the sector into CSC sparse form (two passes, uncounted)."""
+        """Assemble the sector into CSC sparse form, block by block (uncounted).
+
+        A first sweep counts each column's entries, which fixes ``indptr``;
+        the block kernel then writes each block's sorted entries straight
+        into the final index and value arrays, so no block outlives its copy.
+        """
         if self._csc is not None:
             return
         spec, basis = self.spec, self.basis
         dim = basis.dim
-        diag = basis.diagonal
-        counts = np.empty(dim + 1, dtype=np.int64)
-        counts[0] = 0
-        for j in range(dim):
-            counts[j + 1] = len(_column_kernel(spec, basis, j, 0.0)[0])
-        indptr = np.cumsum(counts)
-        nnz = int(indptr[-1])
+        blocks = [(lo, min(lo + _BLOCK_COLUMNS, dim)) for lo in range(0, dim, _BLOCK_COLUMNS)]
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        for lo, hi in blocks:
+            indptr[lo + 1:hi + 1] = _column_counts(spec, basis, lo, hi)
+        np.cumsum(indptr, out=indptr)
         index_dtype = np.int32 if dim < 2**31 else np.int64
-        rows = np.empty(nnz, dtype=index_dtype)
-        data = np.empty(nnz)
-        for j in range(dim):
-            r, v = _column_kernel(spec, basis, j, float(diag[j]))
-            order = np.argsort(r)
-            lo, hi = indptr[j], indptr[j + 1]
-            rows[lo:hi] = np.asarray(r, dtype=index_dtype)[order]
-            data[lo:hi] = np.asarray(v)[order]
+        rows = np.empty(indptr[-1], dtype=index_dtype)
+        data = np.empty(indptr[-1])
+        for lo, hi in blocks:
+            _, rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
+                _column_kernel(spec, basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
         self._cached.cache_clear()
 

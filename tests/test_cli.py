@@ -126,6 +126,57 @@ class TestCommands:
         assert main(["bench", "--config", str(path)]) == 2
         assert "seeds must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "0", "--tol: expected a positive number, got '0'"),
+        ("--tol", "-0.5", "--tol: expected a positive number, got '-0.5'"),
+        ("--max-col-access", "-5", "--max-col-access: expected a non-negative integer"),
+        ("--trace-stride", "-1", "--trace-stride: expected a non-negative integer"),
+    ])
+    def test_bad_run_flag_refused(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                  "--method", "GCD-LS-LS", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tol", 0, "tol must be > 0, got 0.0"),
+        ("tol", -1e-3, "tol must be > 0, got -0.001"),
+        ("max_col_access", -5, "max_col_access must be >= 0, got -5"),
+        ("trace_stride", -1, "trace_stride must be >= 0, got -1"),
+    ])
+    def test_bench_bad_run_key_refused(self, key, value, message, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", key: value,
+                                    "methods": [{"name": "GCD-LS-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert f"bench config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["GCD-LS-LS", "PM"])
+    def test_zero_x0_refused(self, method, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                     "--method", method, "--x0", "e1:0"]) == 2
+        assert "x0 'e1:0' is the zero vector" in capsys.readouterr().err
+
+    def test_zero_x0_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "x0.txt"
+        np.savetxt(path, np.zeros(20))
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                     "--method", "GCD-LS-LS", "--x0", f"file:{path}"]) == 2
+        assert "is the zero vector" in capsys.readouterr().err
+
+    def test_bench_zero_x0_refused(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", "x0": "e2:0",
+                                    "methods": [{"name": "GCD-LS-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "x0 'e2:0' is the zero vector" in capsys.readouterr().err
+
+    def test_non_finite_x0_refused(self, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                     "--method", "GCD-LS-LS", "--x0", "e3:nan"]) == 2
+        assert "x0 'e3:nan' has a non-finite entry" in capsys.readouterr().err
+
     def test_bench_config(self, tmp_path, capsys):
         cfg = {
             "synthetic": "n=40,l1=8,lo=0.5,hi=4,seed=1",

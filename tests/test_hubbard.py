@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eigencd.hubbard import (Determinant, HubbardOracle, LatticeSpec,
-                             SectorTooLarge, dispersion, enumerate_sector,
+from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
+                             LatticeSpec, MomentumBasis, SectorTooLarge,
+                             dispersion, enumerate_sector,
                              ground_state_reference, hamiltonian_column,
                              hf_determinant, sector_dimension)
 
@@ -91,6 +92,43 @@ class TestSectorEnumeration:
         assert packed == sorted(packed)
         for i in range(basis.dim):
             assert basis.index_of(basis.state(i)) == i
+
+    def test_index_of_refuses_every_determinant_outside_the_sector(self, small_oracle):
+        # a bare binary search would return a neighbour's index for these
+        basis = small_oracle.basis
+        n = basis.spec.n_orb
+        inside = {basis.state(i) for i in range(basis.dim)}
+        outside = [Determinant(up, down) for up in range(1 << n) for down in range(1 << n)
+                   if Determinant(up, down) not in inside]
+        outside += [Determinant(1 << n, 0), Determinant(0, -1)]
+        for det in outside:
+            with pytest.raises(KeyError, match="not in the sector"):
+                basis.index_of(det)
+
+    def test_unsorted_basis_refused(self, small_oracle):
+        basis = small_oracle.basis
+        with pytest.raises(ValueError, match="sorted"):
+            MomentumBasis(basis.spec, basis.sector_momentum,
+                          basis.up_masks[::-1], basis.down_masks[::-1])
+
+    def test_kernel_refuses_a_basis_missing_a_target(self, small_oracle):
+        basis = small_oracle.basis
+        keep = np.arange(basis.dim) != small_oracle.hf_index
+        partial = MomentumBasis(basis.spec, basis.sector_momentum,
+                                basis.up_masks[keep], basis.down_masks[keep])
+        with pytest.raises(KeyError, match="left the basis"):
+            for j in range(partial.dim):
+                hamiltonian_column(basis.spec, partial, j)
+
+    def test_widest_lattice_packs_its_keys(self):
+        oracle = HubbardOracle(LatticeSpec(l1=MAX_ORBITALS, l2=1, n_up=1, n_down=2))
+        h = dense_sector_matrix(oracle)
+        assert np.abs(h - h.T).max() == 0.0
+        assert oracle.basis.state(oracle.hf_index) == hf_determinant(oracle.spec)
+
+    def test_too_many_orbitals_refused(self):
+        with pytest.raises(ValueError, match="36 orbitals"):
+            LatticeSpec(l1=6, l2=6, n_up=1, n_down=1)
 
 
 class TestHamiltonianColumn:
