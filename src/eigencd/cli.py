@@ -17,8 +17,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .engine import StrategyConfig, stepsize_bound
-from .harness import (AllSeedsFailed, ReferenceFailure, compute_reference,
-                      emit_trace, run_experiment)
+from .harness import (AllSeedsFailed, ReferenceFailure, ReferenceSolution,
+                      compute_reference, emit_trace, run_experiment)
 from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge, sector_info
 from .operators import (ColumnOracle, SpectrumSpec, build_synthetic,
                         load_dense, save_dense, shift_scale)
@@ -226,11 +226,25 @@ def _run_one_method(oracle, name, args_like) -> StrategyConfig:
     return config
 
 
+def _checked_reference(oracle: ColumnOracle) -> ReferenceSolution:
+    """The reference, refused when the runs or their metric would be meaningless."""
+    reference = compute_reference(oracle)
+    if not reference.lambda1 > 0:
+        raise UsageError(f"no positive leading eigenvalue (lambda1 = {reference.lambda1:g})")
+    # f* = ||A||_F^2 - lambda1^2 carries rounding of about n ulps of ||A||_F^2
+    if abs(reference.fstar) <= oracle.dim * np.finfo(float).eps * reference.frob_sq:
+        raise UsageError(
+            f"f* = ||A||_F^2 - lambda1^2 = {reference.fstar:.3g} is rounding noise against "
+            f"||A||_F^2 = {reference.frob_sq:.6g}: the matrix is rank one, and the relative "
+            "gap eps_obj = sqrt((f - f*) / f*) is undefined for it")
+    return reference
+
+
 def cmd_solve(args) -> int:
     oracle, kind = _build_oracle(args)
     config = _run_one_method(oracle, args.method, vars(args))
     x0 = parse_x0(args.x0, oracle, kind)
-    reference = compute_reference(oracle)
+    reference = _checked_reference(oracle)
     result = run_experiment(oracle, config, x0, args.tol, args.max_col_access,
                             seeds=args.seeds, reference=reference,
                             label=args.method, trace_stride=args.trace_stride)
@@ -273,7 +287,7 @@ def cmd_bench(args) -> int:
         shift=cfg.get("shift", 0.0))
     oracle, kind = _build_oracle(ns)
     x0 = parse_x0(cfg.get("x0", "default"), oracle, kind)
-    reference = compute_reference(oracle)
+    reference = _checked_reference(oracle)
     out_dir = args.out or cfg.get("out", "bench-out")
     results = []
     failures = 0

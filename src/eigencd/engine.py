@@ -20,6 +20,46 @@ three real roots the two outer ones are line minima and the one farther
 from the middle root is strictly lower (the gap is
 ``(u - w)(u + w)^3 / 3`` for inner spacings u, w), so picking the lower
 quartic value with ties to the smaller root realizes that rule exactly.
+
+The greedy sweep (GCD-LS-LS) needs the best of these line searches over all
+n coordinates, and solves only the cubics of coordinates that can still win.
+In the depressed variable the objective along coordinate j is
+``g_j(beta) = beta^4 + 2 p_j beta^2 + 4 q_j beta`` plus a constant, and the
+gain of the line search is ``min g_j - g_j(x_j)``.  When ``p_j > 0``,
+dropping ``beta^4`` only lowers g, so ``min g_j >= -2 q_j^2 / p_j`` and
+
+    gain_j >= -(2 w_j^2 / p_j + x_j^4),   w_j = q_j + p_j x_j = d_j - x_j^3.
+
+The seeds are the coordinate with the lowest such bound and the one with the
+largest gradient ``|d_j|`` (the k of each for a batch of k); their exact
+gains come from the scalar twin :func:`solve_cubic_min`, and the k-th best
+of them is the incumbent ``G``.  A coordinate is screened out only when
+``p_j > 0`` and its bound lies above ``G`` by more than the margin, tested as
+``key_j < bar`` with ``key_j = 2 w_j^2 / p_j + x_j^4``, minus the bound; NaN
+never passes that test, and neither does an inf in x, z or the diagonal, so
+such coordinates are always solved.  Every other coordinate goes
+through one :func:`cubic_min_roots` call with the full sweep's formulas, so
+the winner, its step and the tie to the lowest index are the full sweep's
+bit for bit.
+
+The margin covers rounding, with ``s = |nu| + max_j |A_jj|`` (so that
+``x_j^2 <= s`` wherever ``p_j > 0``) and ``eta = 2^-36``, about 1e5 times
+the unit roundoff:
+
+* ``p_j`` is lowered by ``eta s`` and ``|w_j|`` raised by ``eta s^1.5``,
+  which bound their distance from the depressed coefficients of the sweep's
+  own rounded ``b, c, d`` (a few ulps of ``|nu| + x_j^2 + |A_jj|`` and of
+  ``|x_j|^3``);
+* ``key_j`` adds ``3 eta s x_j^2``, which bounds the rounding of
+  ``_quartic_gain`` at that coordinate's root (its terms are at most a small
+  multiple of the bound's terms, ``G`` and ``s x_j^2``);
+* ``bar = -G - eta (2 |G| + S)``, where S is the seeds' largest
+  ``_quartic_gain`` term sum, covers the rounding of the seeds' gains and any
+  difference between the scalar and the vector closed forms.
+
+States with ``s`` above ``2^300`` (or NaN) are not screened: near overflow
+the closed forms themselves return NaN.  Below :data:`SCREEN_MIN_DIM`
+coordinates every cubic is solved, unscreened.
 """
 
 from __future__ import annotations
@@ -33,6 +73,20 @@ import numpy as np
 from .operators import ColumnOracle, column_norm_max
 
 _TWO_PI_3 = 2.0 * np.pi / 3.0
+
+# The greedy sweep screens only from this dimension up.  The screen costs
+# about 20 array passes, two scalar seed solves and a survivor gather per
+# sweep, and the one cubic_min_roots call keeps its fixed cost of about
+# 200 us however few coordinates survive.  Median sweep, full -> screened,
+# along GCD-LS-LS runs on a 2-CPU x86 VM: Hubbard 100I-H sectors n = 104
+# 265 -> 386 us, 783 337 -> 402, 1,210 378 -> 423, 1,440 357 -> 404,
+# 1,820 367 -> 366, 2,366 422 -> 423, 3,185 504 -> 465, 4,036 546 -> 465,
+# 19,600 1,380 -> 561; dense synthetic n = 500 147 -> 215, 1,500
+# 225 -> 237, 2,000 258 -> 253, 3,000 313 -> 264.  The crossover is near
+# n = 2,000 on both kinds of input.
+SCREEN_MIN_DIM = 2500
+SCREEN_ETA = 2.0 ** -36
+SCREEN_MAX_SCALE = 2.0 ** 300
 
 
 class StationaryIterate(Exception):
@@ -365,35 +419,87 @@ def coord_cubic(state: SolverState, j: int) -> CubicCoeffs:
                            float(state.oracle.diag(j)))
 
 
-def _sweep_cubics(state: SolverState):
-    # coord_cubic for every coordinate at once, written out: routing it
-    # through direction_cubic adds 3 array passes per GCD-LS-LS iteration
-    # (50 us at n = 19,600 on a 2-CPU x86 VM, ~2% of the hubbard-greedy solve)
-    x, z, nu = state.x, state.z, state.nu
-    b = 3.0 * x
-    c = nu + 2.0 * x * x - state.diag_vector
-    d = nu * x - z
-    alphas = cubic_min_roots(b, c, d)
-    gains = _quartic_gain(alphas, b, c, d)
-    return alphas, gains
+def _largest(values: np.ndarray, k: int) -> list[int]:
+    if k == 1:
+        return [int(np.argmax(values))]
+    return np.argpartition(values, values.size - k)[values.size - k:].tolist()
+
+
+def _screen(state: SolverState, k: int) -> np.ndarray | None:
+    """Ascending indices of the coordinates that can still be among the k
+    best of the greedy sweep, or None when the state is out of the screen's
+    range and every coordinate must be solved.  See the module docstring.
+    """
+    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    scale = abs(nu) + float(np.max(np.abs(diag)))
+    if not scale <= SCREEN_MAX_SCALE:
+        return None
+    eta = SCREEN_ETA
+    # key = 2 (|d - x^3| + eta s^1.5)^2 / (p - eta s) + x^2 (x^2 + 3 eta s),
+    # in place where possible: each fresh n-array costs its page faults
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2 = x * x
+        p_lo = np.subtract(nu - eta * scale, x2)
+        p_lo -= diag
+        grad = nu * x
+        grad -= z
+        key = x2 * x
+        np.subtract(grad, key, out=key)
+        np.abs(key, out=key)
+        key += eta * scale ** 1.5
+        key *= key
+        key += key
+        key /= p_lo
+        x4 = x2 + 3.0 * eta * scale
+        x4 *= x2
+        key += x4
+        np.abs(grad, out=grad)
+        seeds = set(_largest(key, k) + _largest(grad, k))
+        gains, size = [], 0.0
+        for j in seeds:
+            xj, zj, ajj = float(x[j]), float(z[j]), float(diag[j])
+            coeffs = CubicCoeffs(3.0 * xj, nu + 2.0 * xj * xj - ajj, nu * xj - zj)
+            alpha = solve_cubic_min(coeffs)
+            gains.append(delta_f(alpha, coeffs))
+            size = max(size, _quartic_gain(abs(alpha), *map(abs, coeffs)))
+        best = float(np.sort(gains)[k - 1])
+        bar = -best - eta * (2.0 * abs(best) + size)
+        excluded = (key < bar) & (p_lo > 0.0)
+    return np.flatnonzero(~excluded)
 
 
 def pick_greedy_ls(state: SolverState) -> tuple[int, float]:
     """Exact line search along every coordinate; best objective drop wins.
 
-    One O(n) sweep over cached quantities and the diagonal; no column
-    accesses.  Ties break to the lowest index.
+    One O(n) screened sweep over cached quantities and the diagonal; no
+    column accesses.  Ties break to the lowest index.
     """
-    alphas, gains = _sweep_cubics(state)
-    j = int(np.argmin(gains))
-    return j, float(alphas[j])
+    rows, alphas = pick_greedy_ls_batch(state, 1)
+    return int(rows[0]), float(alphas[0])
 
 
 def pick_greedy_ls_batch(state: SolverState, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k coordinates of the greedy sweep ordered by (gain, index)."""
-    alphas, gains = _sweep_cubics(state)
-    order = np.lexsort((np.arange(gains.size), gains))[:k]
-    return order, alphas[order]
+    """Top-k coordinates of the greedy sweep ordered by (gain, index).
+
+    Screened-out coordinates are provably not among them, so the result is
+    the full sweep's bit for bit.
+    """
+    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    rows = _screen(state, k) if k < x.size and x.size >= SCREEN_MIN_DIM else None
+    if rows is not None:
+        x, z, diag = x[rows], z[rows], diag[rows]
+    # coord_cubic for every coordinate at once, written out: routing it
+    # through direction_cubic adds 3 array passes per call
+    b = 3.0 * x
+    c = nu + 2.0 * x * x - diag
+    d = nu * x - z
+    alphas = cubic_min_roots(b, c, d)
+    gains = _quartic_gain(alphas, b, c, d)
+    if k == 1:
+        order = np.array([np.argmin(gains)])
+    else:
+        order = np.lexsort((np.arange(gains.size), gains))[:k]
+    return (order if rows is None else rows[order]), alphas[order]
 
 
 def _vec_ls_direction(state: SolverState, omega: np.ndarray):

@@ -5,7 +5,7 @@ import pytest
 
 from eigencd.cli import (UsageError, main, parse_hubbard, parse_method,
                          parse_synthetic, parse_x0)
-from eigencd.operators import DenseSymmetric, load_dense
+from eigencd.operators import DenseSymmetric, load_dense, save_dense
 
 
 class TestParseMethod:
@@ -176,6 +176,40 @@ class TestCommands:
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
                      "--method", "GCD-LS-LS", "--x0", "e3:nan"]) == 2
         assert "x0 'e3:nan' has a non-finite entry" in capsys.readouterr().err
+
+    @pytest.fixture
+    def negative_definite(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        save_dense(path, DenseSymmetric(np.diag(-np.arange(1.0, 7.0))))
+        return path
+
+    def test_negative_definite_refused(self, negative_definite, capsys):
+        assert main(["solve", "--matrix", str(negative_definite),
+                     "--method", "GCD-LS-LS"]) == 2
+        assert "no positive leading eigenvalue (lambda1 = -1)" in capsys.readouterr().err
+
+    def test_bench_negative_definite_refused(self, negative_definite, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"matrix": str(negative_definite),
+                                    "out": str(tmp_path / "out"),
+                                    "methods": [{"name": "GCD-LS-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "no positive leading eigenvalue (lambda1 = -1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_one_refused(self, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=0,hi=0",
+                     "--method", "GCD-LS-LS"]) == 2
+        err = capsys.readouterr().err
+        assert "f* = ||A||_F^2 - lambda1^2 = " in err
+        assert "rank one" in err and "eps_obj" in err
+
+    def test_bench_rank_one_refused(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=0,hi=0",
+                                    "methods": [{"name": "PM"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "rank one" in capsys.readouterr().err
 
     def test_bench_config(self, tmp_path, capsys):
         cfg = {

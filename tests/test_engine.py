@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eigencd import engine
 from eigencd.cli import METHOD_TABLE, parse_method
-from eigencd.engine import (CubicCoeffs, StationaryIterate, StrategyConfig,
-                            coord_cubic, cubic_min_roots, delta_f, init_state,
-                            pick_cyclic, pick_gauss_southwell, pick_grad_power,
-                            pick_greedy_ls, power_method_step, solve_cubic_min,
-                            step, stepsize_bound, vec_ls_alpha)
-from eigencd.operators import DenseSymmetric, SpectrumSpec, build_synthetic
+from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
+                            StrategyConfig, coord_cubic, cubic_min_roots,
+                            delta_f, init_state, pick_cyclic,
+                            pick_gauss_southwell, pick_grad_power,
+                            pick_greedy_ls, pick_greedy_ls_batch,
+                            power_method_step, solve_cubic_min, step,
+                            stepsize_bound, vec_ls_alpha)
+from eigencd.hubbard import HubbardOracle, LatticeSpec
+from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
+                               shift_scale)
 
 from conftest import (dense_objective, fresh_state, grid_newton_min,
                       quartic_gain, scores_state)
@@ -245,6 +251,122 @@ class TestGreedySweep:
         assert delta_f(alpha, coeffs) < 0.0
         state.apply_coordinate_delta(j, alpha)
         assert dense_objective(a, state.x) < dense_objective(a, saddle)
+
+
+def closed_form_sweep(state, k):
+    """Every coordinate's closed form, ranked by (gain, index)."""
+    x, z, nu = state.x, state.z, state.nu
+    b = 3.0 * x
+    c = nu + 2.0 * x * x - state.diag_vector
+    d = nu * x - z
+    alphas = cubic_min_roots(b, c, d)
+    gains = quartic_gain(alphas, b, c, d)
+    if k == 1:
+        order = np.array([np.argmin(gains)])
+    else:
+        order = np.lexsort((np.arange(gains.size), gains))[:k]
+    return order.tolist(), alphas[order].tobytes()
+
+
+def assert_sweep_is_exact(state):
+    j, alpha = pick_greedy_ls(state)
+    assert ([j], np.array([alpha]).tobytes()) == closed_form_sweep(state, 1)
+    rows, alphas = pick_greedy_ls_batch(state, 3)
+    assert (rows.tolist(), alphas.tobytes()) == closed_form_sweep(state, 3)
+
+
+@pytest.fixture
+def screen_everywhere(monkeypatch):
+    """Screen every sweep, and count the coordinates sent to the closed forms."""
+    monkeypatch.setattr(engine, "SCREEN_MIN_DIM", 1)
+    solved = []
+
+    def counting(b, c, d):
+        solved.append(np.size(b))
+        return cubic_min_roots(b, c, d)
+
+    monkeypatch.setattr(engine, "cubic_min_roots", counting)
+    return solved
+
+
+def _hubbard(l1, l2, n_up, n_down, shift):
+    base = HubbardOracle(LatticeSpec(l1=l1, l2=l2, n_up=n_up, n_down=n_down,
+                                     t_hop=1.0, u=4.0))
+    x0 = np.zeros(base.dim)
+    x0[base.hf_index] = 10.0
+    return shift_scale(base, -1.0, shift), x0
+
+
+@pytest.mark.parametrize("case", [(3, 2, 2, 2, 100.0), (3, 2, 2, 1, 8.0),
+                                  (4, 2, 2, 2, 100.0), (4, 2, 3, 2, 30.0)])
+def test_screened_sweep_exact_along_hubbard_runs(case, screen_everywhere):
+    *lattice, shift = case
+    oracle, x0 = _hubbard(*lattice, shift)
+    state = init_state(oracle, x0, rng=0)
+    config = StrategyConfig(pick="greedy_ls", update="coord_ls")
+    for _ in range(250):
+        assert_sweep_is_exact(state)
+        step(state, config)
+    screened_out = [size < oracle.dim for size in screen_everywhere]
+    assert sum(screened_out) >= 0.2 * len(screened_out)
+
+
+def test_screened_sweep_exact_above_the_floor():
+    n = engine.SCREEN_MIN_DIM + 100
+    oracle = build_synthetic(SpectrumSpec.gapped_grid(n, 108.0, 1.0, 100.0, seed=1))
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    state = init_state(oracle, x0, rng=0)
+    config = StrategyConfig(pick="greedy_ls", update="coord_ls")
+    for _ in range(60):
+        assert_sweep_is_exact(state)
+        step(state, config)
+
+
+@st.composite
+def sweep_states(draw):
+    """Localized states: mostly x_j = 0, some p_j < 0, exact duplicates,
+    near-ties a few ulps apart (some with tight bounds, p_j >> q_j^(2/3)),
+    and NaN/inf entries; the seeded draws keep examples cheap."""
+    n = draw(st.integers(4, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    x = np.zeros(n)
+    support = rng.choice(n, size=draw(st.integers(0, max(1, n // 4))), replace=False)
+    x[support] = rng.standard_normal(support.size) * draw(st.sampled_from([1e-3, 1.0, 3.0]))
+    nu = float(x @ x)
+    diag = nu + rng.uniform(-3.0, 1.0, n) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    z = np.where(rng.random(n) < 0.4, rng.standard_normal(n), 0.0)
+    z[support] += diag[support] * x[support]
+    if draw(st.booleans()):  # a block of tight bounds: x = 0, large p
+        block = rng.choice(n, size=min(n, 8), replace=False)
+        x[block] = 0.0
+        nu = float(x @ x)
+        diag[block] = nu - 1e6
+        z[block] = 1.0
+    for _ in range(draw(st.integers(0, 6))):  # duplicates and near-ties
+        src, dst = rng.integers(0, n, size=2)
+        x[dst], z[dst], diag[dst] = x[src], z[src], diag[src]
+        for _ in range(draw(st.integers(0, 4))):
+            z[dst] = np.nextafter(z[dst], draw(st.sampled_from([-np.inf, np.inf])))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from([x, z, diag]))
+        where[rng.integers(0, n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with np.errstate(invalid="ignore"):
+        state = SolverState(DenseSymmetric(np.diag(diag * scale)), x * np.sqrt(scale),
+                            z * scale ** 1.5, np.random.default_rng(0))
+    if draw(st.booleans()):
+        state.nu = float(np.sum(state.x[np.isfinite(state.x)] ** 2))
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=sweep_states())
+def test_screened_sweep_exact_on_random_states(state):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SCREEN_MIN_DIM", 1)
+        with np.errstate(all="ignore"):
+            assert_sweep_is_exact(state)
 
 
 class TestStep:
