@@ -60,10 +60,47 @@ the unit roundoff:
 States with ``s`` above ``2^300`` (or NaN) are not screened: near overflow
 the closed forms themselves return NaN.  Below :data:`SCREEN_MIN_DIM`
 coordinates every cubic is solved, unscreened.
+
+The sampled pick (``grad_power``, t > 0, with replacement) draws j with
+probability proportional to ``w_j = (|c_j| / max|c|)^t`` by the inverse CDF:
+with ``C`` the sequential ``cumsum`` of w and ``D = fl(r C_{n-1})`` for
+``r = rng.random()``, j is the number of ``C_i <= D``, clipped to n - 1.
+For k draws on ``n >= k * SAMPLE_MIN_DIM`` coordinates it finds the same j
+without C.  It sums ``v`` over blocks of :data:`SAMPLE_BLOCK` (``v = |c|``
+and ``s = max|c|`` at t = 1, so that no pass divides all n scores; ``v = w``
+and ``s = 1`` otherwise), divides the running block sums by s, bisects them
+for the draw's block, and proposes j from that block's running sum.  Each
+value ``A_i`` it then compares is the block start plus a running sum of v
+inside the block divided by s.  With
+``u = 2^-53``, ``gamma_n = n u / (1 - n u)``, ``eta = 2^-1075`` (the largest
+error of a rounding into the subnormal range) and ``W_i`` the exact prefix
+sums of w,
+
+    |C_i - W_i| <= gamma_n W_i,   |A_i - W_i| <= (gamma_n + 3u) W_i + (n + 2) eta:
+
+C adds nonnegative terms in order, and A adds to its own summation error a
+rounding for its division by s, for the block start's addition and, at
+t = 1, for the division inside each weight, which may also each lose eta
+near underflow.  The same bounds put D, against ``m = fl(r A_{n-1})``,
+within ``m (1 +- (2 gamma_n + 6u)) +- (n + 4) eta``.  The proposed j is
+accepted only when
+
+    A_{j-1} (1 + eps) + tau < m (1 - eps) - tau,
+    A_j (1 - eps) - tau > m (1 + eps) + tau,
+
+with ``eps = 3 gamma_n + 16u`` and ``tau = (n + 8) 2^-1074`` (n counts the
+zero padding of the last block; the bounds only grow with n).  The third
+gamma_n covers the products of first-order terms, and the rest of the slack
+covers the roundings of the test itself, so the test proves
+``C_{j-1} <= D < C_j``, which makes j the sequential search's answer.  When
+a draw fails the test (it lies within about ``eps`` of a cumulative
+boundary, or its block was guessed wrong) or a block total is not finite,
+the whole call takes the sequential cumsum, with the draws already made.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,6 +124,19 @@ _TWO_PI_3 = 2.0 * np.pi / 3.0
 SCREEN_MIN_DIM = 2500
 SCREEN_ETA = 2.0 ** -36
 SCREEN_MAX_SCALE = 2.0 ** 300
+
+# The sampled pick certifies k draws when n >= k * SAMPLE_MIN_DIM.  A draw
+# costs about 10 us of numpy calls, against about 4.5 ns per coordinate
+# for the division and cumsum it saves.  Median pick at t = 1, exact ->
+# certified, on gaussian scores (10% zeros), 2-CPU x86 VM: k = 1 n = 1,500
+# 29.8 -> 28.7 us, 2,000 26.8 -> 23.6, 4,000 42.6 -> 29.0, 16,000
+# 116.7 -> 56.5; k = 2 n = 2,500 35.5 -> 39.0, 3,000 39.1 -> 39.0, 4,000
+# 45.4 -> 41.2; k = 4 n = 6,000 56.5 -> 61.7, 8,000 63.9 -> 56.9.  Block
+# sizes 64 to 512 measured alike at n = 3,000 and 19,600.
+SAMPLE_MIN_DIM = 2000
+SAMPLE_BLOCK = 256
+_UNIT_ROUNDOFF = 2.0 ** -53
+_MIN_SUBNORMAL = 2.0 ** -1074
 
 
 class StationaryIterate(Exception):
@@ -217,7 +267,7 @@ class SolverState:
     """
 
     __slots__ = ("oracle", "x", "z", "nu", "s", "ell", "rng",
-                 "_diag", "_applies")
+                 "_diag", "_applies", "_work")
 
     def __init__(self, oracle: ColumnOracle, x: np.ndarray, z: np.ndarray,
                  rng: np.random.Generator):
@@ -230,6 +280,7 @@ class SolverState:
         self.rng = rng
         self._diag = None
         self._applies = 0
+        self._work = None
 
     @property
     def dim(self) -> int:
@@ -244,6 +295,18 @@ class SolverState:
     def gradient_scores(self) -> np.ndarray:
         """Score vector ``c = nu * x - z``; the gradient is ``4 c``."""
         return self.nu * self.x - self.z
+
+    def abs_scores(self, size: int) -> np.ndarray:
+        """``|c|`` in the head of a reused work buffer of ``size >= n``
+        entries whose tail stays zero; valid until the next call."""
+        buf = self._work
+        if buf is None or buf.size != size:
+            buf = self._work = np.zeros(size)
+        head = buf[:self.dim]
+        np.multiply(self.nu, self.x, out=head)
+        np.subtract(head, self.z, out=head)
+        np.abs(head, out=head)
+        return buf
 
     def revalidate(self) -> None:
         self.nu = float(self.x @ self.x)
@@ -360,30 +423,82 @@ def pick_gauss_southwell(state: SolverState) -> int:
     return int(np.argmax(np.abs(state.gradient_scores())))
 
 
+def _certified_draws(values: np.ndarray, scale: float,
+                     draws: np.ndarray) -> np.ndarray | None:
+    """The sequential sampler's picks for ``draws``, or None when one of them
+    is not certified.  ``values / scale`` are its weights, zero-padded to
+    whole blocks of :data:`SAMPLE_BLOCK`; see the module docstring.
+    """
+    n = values.size  # padded: the margin only grows with n
+    blocks = values.reshape(-1, SAMPLE_BLOCK)
+    ends = np.add.accumulate(np.add.reduce(blocks, axis=1))
+    ends /= scale
+    total = float(ends[-1])
+    if not math.isfinite(total):
+        return None
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    eps = 3.0 * gamma + 16.0 * _UNIT_ROUNDOFF
+    tau = (n + 8) * _MIN_SUBNORMAL
+    bounds = ends.tolist()
+    last = len(bounds) - 1
+    picks = np.empty(draws.size, dtype=np.int64)
+    for i, r in enumerate(draws.tolist()):
+        mid = r * total
+        b = min(bisect.bisect_right(bounds, mid), last)
+        start = bounds[b - 1] if b else 0.0
+        # the search only proposes j; the test below decides
+        local = np.add.accumulate(blocks[b])
+        c = int(local.searchsorted((mid - start) * scale, side="right"))
+        if c == SAMPLE_BLOCK:
+            return None
+        before = start + float(local[c - 1]) / scale if c else start
+        after = start + float(local[c]) / scale
+        if not (before * (1.0 + eps) + tau < mid * (1.0 - eps) - tau
+                and after * (1.0 - eps) - tau > mid * (1.0 + eps) + tau):
+            return None
+        picks[i] = b * SAMPLE_BLOCK + c
+    return picks
+
+
 def pick_grad_power(state: SolverState, t: float, k: int = 1,
                     with_replacement: bool = True) -> np.ndarray:
-    """Sample k coordinates with probability proportional to ``|c_j|**t``."""
+    """Sample k coordinates with probability proportional to ``|c_j|**t``.
+
+    Draws with replacement are the sequential inverse-CDF search's bit for
+    bit, one ``rng.random(k)`` per call; from ``k * SAMPLE_MIN_DIM``
+    coordinates up a certified two-level search finds them without the full
+    cumulative sum (see the module docstring).
+    """
     n = state.dim
     rng = state.rng
     if t == 0:
         if with_replacement:
             return rng.integers(0, n, size=k)
         return rng.choice(n, size=k, replace=False)
-    scores = np.abs(state.gradient_scores())
-    top = scores.max()
+    padded = state.abs_scores(-(-n // SAMPLE_BLOCK) * SAMPLE_BLOCK)
+    top = np.maximum.reduce(padded[:n])
     if top == 0.0 or not np.isfinite(top):
         raise StationaryIterate("gradient scores all zero")
-    weights = scores / top  # normalized before powering to dodge overflow
-    if t == 2:
-        weights = weights * weights
-    elif t != 1:
-        weights **= t
+    # the weights are values / scale; at t = 1 the front divides only sums
+    if t == 1:
+        values, scale = padded, top
+    else:
+        values = padded / top  # normalized before powering to dodge overflow
+        if t == 2:
+            values *= values
+        else:
+            values **= t
+        scale = 1.0
     if with_replacement:
-        cum = np.cumsum(weights)
-        draws = rng.random(k) * cum[-1]
-        return np.minimum(np.searchsorted(cum, draws, side="right"), n - 1)
+        draws = rng.random(k)
+        if n >= k * SAMPLE_MIN_DIM:
+            picks = _certified_draws(values, scale, draws)
+            if picks is not None:
+                return picks
+        cum = np.cumsum(values[:n] / scale)
+        return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"), n - 1)
+    weights = values[:n] / scale
     out = np.empty(k, dtype=np.int64)
-    weights = weights.copy()
     for i in range(k):
         cum = np.cumsum(weights)
         if cum[-1] <= 0.0:
@@ -591,8 +706,8 @@ def step(state: SolverState, config: StrategyConfig) -> StepReport:
         deltas = np.array([solve_cubic_min(coord_cubic(state, int(j)))
                            for j in indices])
     else:
-        c = state.gradient_scores()
-        deltas = -config.gamma * 4.0 * c[indices]
+        c = state.nu * state.x[indices] - state.z[indices]
+        deltas = -config.gamma * 4.0 * c
     if config.averaged and indices.size > 1:
         deltas = deltas / indices.size
     for j, delta in zip(indices, deltas):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigencd import engine
+from eigencd import engine, harness
 from eigencd.cli import METHOD_TABLE, parse_method
 from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
                             StrategyConfig, coord_cubic, cubic_min_roots,
@@ -11,6 +11,7 @@ from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
                             pick_greedy_ls, pick_greedy_ls_batch,
                             power_method_step, solve_cubic_min, step,
                             stepsize_bound, vec_ls_alpha)
+from eigencd.harness import compute_reference
 from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
                                shift_scale)
@@ -369,6 +370,159 @@ def test_screened_sweep_exact_on_random_states(state):
             assert_sweep_is_exact(state)
 
 
+def sequential_pick(c, t, draws):
+    """The inverse-CDF pick by one sequential cumsum over the weights."""
+    scores = np.abs(c)
+    weights = scores / scores.max()
+    if t == 2:
+        weights = weights * weights
+    elif t != 1:
+        weights = weights ** t
+    cum = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"), c.size - 1)
+
+
+class ChosenDraws:
+    """Stands in for a generator: ``random(k)`` returns the next k values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, k):
+        out, self.values = np.array(self.values[:k]), self.values[k:]
+        return out
+
+
+@st.composite
+def sampled_scores(draw):
+    """Scores with long zero runs, exact ties and magnitudes from 1e-300 to 1
+    (subnormals too), at sizes around one and three blocks and the floor."""
+    block, floor = 16, 40
+    n = draw(st.sampled_from([block - 1, block, block + 1, floor - 1, floor,
+                              floor + 1, 3 * floor - 1, 3 * floor, 3 * floor + 1,
+                              200, 517]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 0.0, n)
+    for _ in range(draw(st.integers(0, 3))):  # zero runs
+        lo = int(rng.integers(0, n))
+        c[lo:lo + int(rng.integers(1, n))] = 0.0
+    for _ in range(draw(st.integers(0, 8))):  # exact ties
+        c[rng.integers(0, n)] = c[rng.integers(0, n)]
+    for _ in range(draw(st.integers(0, 4))):
+        c[rng.integers(0, n)] = draw(st.sampled_from([5e-324, 2.5e-310, 1e-200, 1.0]))
+    if draw(st.booleans()):  # a head of subnormal scores, where dividing by
+        head = int(rng.integers(1, n))  # max|c| rounds in absolute terms
+        c[:head] = rng.integers(0, 400, head) * 5e-324
+        if draw(st.booleans()):  # and one large score after it: the total is near 1
+            c[head:] = 0.0
+            c[rng.integers(head, n)] = rng.uniform(0.5, 1.0)
+    if not np.any(c):
+        c[rng.integers(0, n)] = 1.0
+    t = draw(st.sampled_from([1.0, 2.0, 0.5, 7.0]))
+    k = draw(st.sampled_from([1, 3]))
+    scores = np.abs(c) / np.abs(c).max()
+    weights = scores * scores if t == 2 else scores ** t
+    cum = np.cumsum(weights)
+    draws = []
+    for _ in range(k):  # uniform, or onto a cumulative boundary, or next to one
+        where = cum[rng.integers(0, n)] / cum[-1]
+        draws.append(draw(st.sampled_from([
+            float(rng.random()), float(rng.random()), float(rng.random()), where,
+            float(np.nextafter(where, 0.0)), float(np.nextafter(where, 1.0)),
+            0.0, float(np.nextafter(1.0, 0.0))])))
+    return block, floor, c, t, np.minimum(draws, np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sampled_scores())
+def test_certified_pick_matches_sequential_cumsum(case):
+    block, floor, c, t, draws = case
+    state = scores_state(c)
+    state.rng = ChosenDraws(draws)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SAMPLE_BLOCK", block)
+        mp.setattr(engine, "SAMPLE_MIN_DIM", floor)
+        picks = pick_grad_power(state, t, draws.size)
+    assert picks.tolist() == sequential_pick(c, t, draws).tolist()
+    assert state.rng.values == []
+
+
+def test_certified_pick_on_subnormal_boundaries(monkeypatch):
+    """Draws onto the cumulative boundaries of a subnormal head before one
+    large score: each division by max|c| there rounds by up to half the
+    smallest subnormal, which only the margin's absolute part covers."""
+    monkeypatch.setattr(engine, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(engine, "SAMPLE_MIN_DIM", 16)
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        n = int(rng.integers(16, 80))
+        head = int(rng.integers(2, n))
+        c = np.zeros(n)
+        c[:head] = rng.integers(0, 400, head) * 5e-324
+        c[rng.integers(head, n)] = rng.uniform(0.5, 1.0)
+        cum = np.cumsum(np.abs(c) / np.abs(c).max())
+        draws = cum[rng.integers(0, head, size=1)] / cum[-1]
+        state = scores_state(c)
+        state.rng = ChosenDraws(draws)
+        assert pick_grad_power(state, 1.0).tolist() == sequential_pick(c, 1.0, draws).tolist()
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 0.5, 7.0])
+def test_certified_front_decides_uniform_draws(t):
+    """Off the boundaries the front answers by itself, with the same picks."""
+    rng = np.random.default_rng(40)
+    for n in (2000, 5003):
+        c = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        draws = rng.random(3)
+        top = np.abs(c).max()
+        values = np.zeros(-(-n // engine.SAMPLE_BLOCK) * engine.SAMPLE_BLOCK)
+        values[:n] = np.abs(c) if t == 1 else (np.abs(c) / top) ** t
+        picks = engine._certified_draws(values, top if t == 1 else 1.0, draws)
+        assert picks is not None
+        assert picks.tolist() == sequential_pick(c, t, draws).tolist()
+
+
+def test_sampled_run_matches_sequential_pick(monkeypatch):
+    """A whole SCD-Grad-LS(1) run with the front forced on ends where a run
+    drawing with the sequential cumsum ends: iterations, nu and generator."""
+    oracle, x0 = _hubbard(4, 2, 2, 2, 100.0)
+    reference = compute_reference(oracle)
+    config = parse_method("SCD-Grad-LS(1)")
+    states = []
+
+    def capture(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    def sequential(state, t, k=1, with_replacement=True):
+        c = state.nu * state.x - state.z
+        if not np.any(c):
+            raise StationaryIterate("gradient scores all zero")
+        return sequential_pick(c, t, state.rng.random(k))
+
+    monkeypatch.setattr(harness, "init_state", capture)
+    monkeypatch.setattr(engine, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(engine, "SAMPLE_MIN_DIM", 16)
+    decided = []
+    front = engine._certified_draws
+
+    def counting(*args):
+        decided.append(front(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(engine, "_certified_draws", counting)
+    runs = [harness.run_single(oracle, config, x0, 1e-6, 10**9, 7, reference)]
+    monkeypatch.setattr(engine, "pick_grad_power", sequential)
+    runs.append(harness.run_single(oracle, config, x0, 1e-6, 10**9, 7, reference))
+    certified, plain = runs
+    assert certified.status == plain.status == "converged"
+    assert certified.iterations == plain.iterations
+    assert np.float64(certified.final_nu).tobytes() == np.float64(plain.final_nu).tobytes()
+    assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
+    assert len(decided) == certified.iterations
+    assert sum(picks is not None for picks in decided) >= 0.99 * len(decided)
+
+
 class TestStep:
     def test_cyclic_grad_reproduces_update_rule(self, small_synthetic):
         gamma = stepsize_bound(small_synthetic)
@@ -423,6 +577,17 @@ class TestStep:
             j = int(report.indices[0])
             scale = 1.0 + abs(state.nu)
             assert abs(state.nu * state.x[j] - state.z[j]) < 1e-8 * scale
+
+    @pytest.mark.parametrize("name,k", [("SCD-Uni-Grad", 3), ("CD-Cyc-Grad", 1)])
+    def test_fixed_grad_deltas_match_full_scores(self, small_synthetic, name, k):
+        config = parse_method(name, k=k, gamma=stepsize_bound(small_synthetic))
+        state = fresh_state(small_synthetic,
+                            np.random.default_rng(19).standard_normal(30), seed=19)
+        for _ in range(100):
+            c = state.gradient_scores()
+            report = step(state, config)
+            expect = -config.gamma * 4.0 * c[report.indices]
+            assert report.deltas.tobytes() == expect.tobytes()
 
     def test_stationary_signal_propagates(self, small_synthetic):
         state = fresh_state(small_synthetic, np.zeros(30))

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from eigencd.cli import parse_method
 from eigencd.engine import StrategyConfig
 from eigencd.harness import (AllSeedsFailed, ReferenceSolution, TraceRecord,
                              compute_reference, emit_trace, eps_obj, eps_tan,
                              projected_energy, read_trace, run_experiment,
                              run_single)
-from eigencd.operators import DenseSymmetric, SpectrumSpec, build_synthetic
+from eigencd.hubbard import HubbardOracle, LatticeSpec
+from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
+                               shift_scale)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,20 @@ class TestRunExperiment:
         cfg = StrategyConfig(pick="greedy_ls", update="coord_ls", k=4)
         out = run_single(a, cfg, x0, 1e-6, 10**8, 0, ref, stall_checks=500)
         assert out.status in ("stalled", "diverged")
+
+    def test_stall_rule_spares_uniform_sampling(self):
+        # uniform picks often land where the gradient is small, so runs of
+        # steps without a strict drop are longest here; none may reach the
+        # 1,000 checks of the stall rule before the run converges
+        base = HubbardOracle(LatticeSpec(l1=4, l2=2, n_up=3, n_down=3, t_hop=1.0, u=4.0))
+        oracle = shift_scale(base, -1.0, 100.0)
+        ref = compute_reference(oracle)
+        x0 = np.zeros(oracle.dim)
+        x0[base.hf_index] = 10.0
+        res = run_experiment(oracle, parse_method("SCD-Uni-LS"), x0, 1e-6, 10**9,
+                             seeds=6, reference=ref)
+        assert [o.status for o in res.outcomes] == ["converged"] * 6
+        assert all(o.trace[-1].eps_obj < 1e-6 for o in res.outcomes)
 
 
 class TestTraceIO:
