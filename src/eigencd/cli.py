@@ -63,7 +63,8 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
         t if t is not None else (default_t if default_t is not None else 1.0))
     config = StrategyConfig(pick=pick, update=update, t=t_eff, k=k, gamma=gamma,
                             with_replacement=with_replacement, averaged=averaged)
-    if pick != "pm":
+    # a fixed-step config without gamma is validated once the caller sets one
+    if pick != "pm" and (gamma is not None or update != "fixed_grad"):
         config.validate()
     return config
 
@@ -119,8 +120,11 @@ def _build_oracle(args) -> tuple[ColumnOracle, str]:
         oracle = build_synthetic(parse_synthetic(args.synthetic))
     else:
         oracle = HubbardOracle(parse_hubbard(args.hubbard))
-    scale = getattr(args, "scale", 1.0)
-    shift = getattr(args, "shift", 0.0)
+    scale = float(getattr(args, "scale", 1.0))
+    shift = float(getattr(args, "shift", 0.0))
+    for name, value in (("scale", scale), ("shift", shift)):
+        if not np.isfinite(value):
+            raise UsageError(f"{name} must be a finite number, got {value}")
     if scale != 1.0 or shift != 0.0:
         oracle = shift_scale(oracle, scale, shift)
     return oracle, src
@@ -222,7 +226,7 @@ def _run_one_method(oracle, name, args_like) -> StrategyConfig:
                           averaged=args_like.get("averaged", False),
                           t=args_like.get("t"))
     if config.update == "fixed_grad" and config.gamma is None:
-        config = dataclasses.replace(config, gamma=stepsize_bound(oracle))
+        config = dataclasses.replace(config, gamma=stepsize_bound(oracle)).validate()
     return config
 
 

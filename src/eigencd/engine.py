@@ -389,10 +389,12 @@ class StrategyConfig:
             raise ValueError(f"unknown update rule {self.update!r}")
         if self.k < 1:
             raise ValueError("batch size k must be >= 1")
-        if self.t < 0:
-            raise ValueError("sampling power t must be >= 0")
-        if self.update == "fixed_grad" and (self.gamma is None or self.gamma <= 0):
-            raise ValueError("fixed_grad update needs a stepsize gamma > 0")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"sampling power t must be finite and >= 0, got {self.t}")
+        if self.update == "fixed_grad" and not (
+                self.gamma is not None and 0 < self.gamma < math.inf):
+            raise ValueError(
+                f"fixed_grad update needs a finite stepsize gamma > 0, got {self.gamma}")
         if self.pick == "greedy_ls" and self.update != "coord_ls":
             raise ValueError("greedy_ls picks its own line-search step; use coord_ls")
         if self.update == "vec_ls" and self.pick not in ("grad_power", "all"):

@@ -128,7 +128,6 @@ def compute_reference(oracle: ColumnOracle,
         v1 = vecs[:, -1]
         source = "dense"
     else:
-        oracle.prepare()
         sigma = column_abs_sum_max(oracle)  # >= spectral radius
 
         def matvec(w):

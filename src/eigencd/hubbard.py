@@ -1,4 +1,4 @@
-"""Momentum-space 2D Hubbard Hamiltonian as an on-the-fly column oracle.
+"""Momentum-space 2D Hubbard Hamiltonian as a sparse column oracle.
 
 The Hamiltonian on an ``L1 x L2`` periodic lattice is
 
@@ -9,17 +9,18 @@ with ``eps(k) = -2 (cos k1 + cos k2)`` and ``k = (2*pi*r1/L1, 2*pi*r2/L2)``
 for orbital ``r = (r1, r2)``.  Momentum transfer is conserved, so H is block
 diagonal over total lattice momentum; we work in the block containing the
 Hartree-Fock determinant, where the ground state has large overlap with the
-HF basis vector.  Columns are generated on demand from occupation bitmasks;
-the matrix is never required to fit in memory, though desk-scale sectors can
-be assembled into sparse form to speed up reference eigensolves.
+HF basis vector.  The sector is assembled once into CSC sparse form, and
+every column the oracle serves is a slice of it, so the sector's nonzeros
+must fit in memory.
 
 One kernel, :func:`_column_kernel`, builds a block of columns at once: numpy
 bit operations on the int64 occupation masks form every move of the block
 as one array over (column, occupied up orbital, occupied down orbital,
 transfer), and each target determinant is found by ``np.searchsorted`` on
-the basis' sorted keys ``(up << n_orb) | down``.  A single on-the-fly column
-is a block of one; :meth:`HubbardOracle.prepare` runs the kernel block by
-block into the CSC arrays.
+the basis' sorted keys ``(up << n_orb) | down``.
+:meth:`HubbardOracle.prepare` runs the kernel block by block into the CSC
+arrays; :func:`hamiltonian_column` runs it on one column, independently of
+any assembled matrix.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -82,9 +83,6 @@ class LatticeSpec:
 
     def orbital_vector(self, p: int) -> tuple[int, int]:
         return p % self.l1, p // self.l1
-
-    def orbital_index(self, r1: int, r2: int) -> int:
-        return (r1 % self.l1) + self.l1 * (r2 % self.l2)
 
     @cached_property
     def dispersions(self) -> np.ndarray:
@@ -355,28 +353,23 @@ def hamiltonian_column(spec: LatticeSpec, basis: MomentumBasis, j: int) -> Colum
 class HubbardOracle(ColumnOracle):
     """Column oracle over the HF momentum sector of a lattice spec.
 
-    Columns come from the on-the-fly kernel behind a bounded LRU; once
-    :meth:`prepare` has assembled the sector into CSC form, columns are
-    served as slices instead.  Cache and assembly change cost only, never
-    accounting: every ``column`` call counts.
+    Columns are slices of the CSC matrix that :meth:`prepare` assembles; the
+    first column, product or sparsity read assembles it.  Assembly changes
+    cost only, never accounting: every ``column`` call counts.
     """
 
     def __init__(self, spec: LatticeSpec, basis: MomentumBasis | None = None,
-                 max_dim: int = DEFAULT_SECTOR_CAP, cache_columns: int = 4096):
+                 max_dim: int = DEFAULT_SECTOR_CAP):
         self.spec = spec
         self.basis = basis if basis is not None else enumerate_sector(spec, max_dim)
         super().__init__(self.basis.dim)
         self._csc: sp.csc_matrix | None = None
-        self._cached = lru_cache(maxsize=cache_columns)(self._compute_column)
-
-    def _compute_column(self, j: int) -> Column:
-        return hamiltonian_column(self.spec, self.basis, j)
 
     def _column(self, j: int) -> Column:
-        if self._csc is not None:
-            lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
-            return self._csc.indices[lo:hi], self._csc.data[lo:hi]
-        return self._cached(j)
+        if self._csc is None:
+            self.prepare()
+        lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
+        return self._csc.indices[lo:hi], self._csc.data[lo:hi]
 
     def diag(self, j: int) -> float:
         return float(self.basis.diagonal[j])
@@ -411,7 +404,6 @@ class HubbardOracle(ColumnOracle):
             _, rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
                 _column_kernel(spec, basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
-        self._cached.cache_clear()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         self.prepare()

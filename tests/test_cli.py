@@ -172,6 +172,45 @@ class TestCommands:
         assert main(["bench", "--config", str(path)]) == 2
         assert "x0 'e2:0' is the zero vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--method", "SCD-Grad-LS(nan)"], "sampling power t must be finite and >= 0, got nan"),
+        (["--method", "SCD-Grad-LS", "--t", "inf"],
+         "sampling power t must be finite and >= 0, got inf"),
+        (["--method", "CD-Cyc-Grad", "--gamma", "nan"],
+         "fixed_grad update needs a finite stepsize gamma > 0, got nan"),
+        (["--method", "SCD-Uni-Grad", "--gamma", "inf"],
+         "fixed_grad update needs a finite stepsize gamma > 0, got inf"),
+        (["--method", "GCD-LS-LS", "--shift", "nan"], "shift must be a finite number, got nan"),
+        (["--method", "GCD-LS-LS", "--scale", "inf"], "scale must be a finite number, got inf"),
+    ])
+    def test_non_finite_run_value_refused(self, args, message, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--seeds", "2",
+                     *args]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source,method,message", [
+        ({"shift": float("nan")}, {"name": "GCD-LS-LS"},
+         "shift must be a finite number, got nan"),
+        ({"scale": float("-inf")}, {"name": "GCD-LS-LS"},
+         "scale must be a finite number, got -inf"),
+        ({}, {"name": "CD-Cyc-Grad", "gamma": float("nan")},
+         "fixed_grad update needs a finite stepsize gamma > 0, got nan"),
+        ({}, {"name": "SCD-Grad-LS", "t": float("nan")},
+         "sampling power t must be finite and >= 0, got nan"),
+    ])
+    def test_bench_non_finite_value_refused(self, source, method, message, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", **source,
+                                    "out": str(tmp_path / "out"), "methods": [method]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_step_defaults_to_the_safe_bound(self, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                     "--method", "CD-Cyc-Grad"]) == 0
+        assert "seeds_used=1 failed=0" in capsys.readouterr().out
+
     def test_non_finite_x0_refused(self, capsys):
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
                      "--method", "GCD-LS-LS", "--x0", "e3:nan"]) == 2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from eigencd import hubbard
+from eigencd.harness import DENSE_REFERENCE_CUTOFF, compute_reference
 from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
                              LatticeSpec, MomentumBasis, SectorTooLarge,
                              dispersion, enumerate_sector,
                              ground_state_reference, hamiltonian_column,
                              hf_determinant, sector_dimension)
+from eigencd.operators import shift_scale
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +151,7 @@ class TestHamiltonianColumn:
 
     def test_no_duplicate_targets(self, small_oracle):
         for j in range(small_oracle.dim):
-            rows, _ = small_oracle._compute_column(j)
+            rows, _ = hamiltonian_column(small_oracle.spec, small_oracle.basis, j)
             assert len(np.unique(rows)) == rows.size
 
     def test_hermitian_exactly(self, small_oracle):
@@ -207,10 +210,12 @@ class TestOracle:
         assert np.array_equal(state.z, expect)
 
     def test_csc_assembly_matches_kernel(self, small_oracle):
-        before = dense_sector_matrix(small_oracle)
-        small_oracle.prepare()
-        after = dense_sector_matrix(small_oracle)
-        assert np.array_equal(before, after)
+        n = small_oracle.dim
+        kernel = np.zeros((n, n))
+        for j in range(n):
+            rows, vals = hamiltonian_column(small_oracle.spec, small_oracle.basis, j)
+            kernel[rows, j] = vals
+        assert np.array_equal(kernel, dense_sector_matrix(small_oracle))
 
     def test_cache_hits_still_count(self, small_oracle):
         small_oracle.reset_access_count()
@@ -228,11 +233,28 @@ class TestOracle:
         det = small_oracle.basis.state(small_oracle.hf_index)
         assert det == hf_determinant(small_oracle.spec)
 
+    @pytest.mark.parametrize("dense_cutoff", [10, DENSE_REFERENCE_CUTOFF],
+                             ids=["lanczos", "dense"])
+    def test_only_assembly_runs_the_kernel(self, monkeypatch, dense_cutoff):
+        # dim 336 is two assembly blocks; the norm surveys and the
+        # eigensolve must read the assembled CSC, not call the kernel per column
+        blocks = []
+        kernel = hubbard._column_kernel
+
+        def counted(spec, basis, lo, hi):
+            blocks.append((lo, hi))
+            return kernel(spec, basis, lo, hi)
+
+        monkeypatch.setattr(hubbard, "_column_kernel", counted)
+        oracle = HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5))
+        compute_reference(shift_scale(oracle, -1.0, 100.0), dense_cutoff=dense_cutoff)
+        assert blocks == [(0, 256), (256, 336)]
+
 
 class TestGroundState:
     def test_frobenius_matches_spectrum_identity(self):
         # ||100I - H||_F^2 equals the sum of squared eigenvalues of the block
-        from eigencd.operators import frobenius_norm_sq, shift_scale
+        from eigencd.operators import frobenius_norm_sq
         oracle = HubbardOracle(LatticeSpec(l1=4, l2=4, n_up=2, n_down=2))
         shifted = shift_scale(oracle, -1.0, 100.0)
         frob = frobenius_norm_sq(shifted)
