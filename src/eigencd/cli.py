@@ -219,6 +219,29 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list"}
+
+# the keys of a bench method entry, with the type JSON must give each
+_METHOD_KEYS = (("name", str), ("label", str), ("k", int), ("gamma", float),
+                ("t", float), ("replacement", bool), ("averaged", bool))
+
+
+def _config_value(section: dict, key: str, kind: type, default=None, *,
+                  where: str = "bench config"):
+    """``section[key]``, or ``default`` when absent or null, refused unless
+    JSON gave it type ``kind``; a float key also takes an integer."""
+    value = section.get(key)
+    if value is None:
+        return default
+    if kind is float and type(value) is int:
+        value = float(value)
+    # bool is an int subclass, but true is not a count
+    if type(value) is not kind:
+        raise UsageError(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _run_one_method(oracle, name, args_like) -> StrategyConfig:
     config = parse_method(name, k=args_like.get("k", 1),
                           gamma=args_like.get("gamma"),
@@ -275,29 +298,41 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    seeds = int(cfg.get("seeds", 20))
-    tol = float(cfg.get("tol", 1e-6))
-    budget = int(cfg.get("max_col_access", 100_000_000))
-    stride = int(cfg.get("trace_stride", 0))
+    if not isinstance(cfg, dict):
+        raise UsageError("bench config: expected a JSON object")
+    seeds = _config_value(cfg, "seeds", int, 20)
+    tol = _config_value(cfg, "tol", float, 1e-6)
+    budget = _config_value(cfg, "max_col_access", int, 100_000_000)
+    stride = _config_value(cfg, "trace_stride", int, 0)
     for key, value, ok, rule in (("seeds", seeds, seeds >= 1, ">= 1"),
                                  ("tol", tol, tol > 0, "> 0"),
                                  ("max_col_access", budget, budget >= 0, ">= 0"),
                                  ("trace_stride", stride, stride >= 0, ">= 0")):
         if not ok:
             raise UsageError(f"bench config: {key} must be {rule}, got {value}")
+    methods = _config_value(cfg, "methods", list)
+    if not methods:
+        raise UsageError("bench config: methods must list at least one method entry")
     ns = argparse.Namespace(
-        matrix=cfg.get("matrix"), synthetic=cfg.get("synthetic"),
-        hubbard=cfg.get("hubbard"), scale=cfg.get("scale", 1.0),
-        shift=cfg.get("shift", 0.0))
+        **{key: _config_value(cfg, key, str) for key in ("matrix", "synthetic", "hubbard")},
+        scale=_config_value(cfg, "scale", float, 1.0),
+        shift=_config_value(cfg, "shift", float, 0.0))
     oracle, kind = _build_oracle(ns)
-    x0 = parse_x0(cfg.get("x0", "default"), oracle, kind)
+    x0 = parse_x0(_config_value(cfg, "x0", str, "default"), oracle, kind)
+    configs = []
+    for i, entry in enumerate(methods):
+        where = f"bench config: methods[{i}]"
+        if not isinstance(entry, dict) or entry.get("name") is None:
+            raise UsageError(f"{where}: expected an object with a name, got {entry!r}")
+        entry = {key: _config_value(entry, key, kind, where=where)
+                 for key, kind in _METHOD_KEYS if entry.get(key) is not None}
+        configs.append((entry, _run_one_method(oracle, entry["name"], entry)))
     reference = _checked_reference(oracle)
-    out_dir = args.out or cfg.get("out", "bench-out")
+    out_dir = args.out or _config_value(cfg, "out", str, "bench-out")
     results = []
     failures = 0
-    for entry in cfg["methods"]:
+    for entry, config in configs:
         name = entry["name"]
-        config = _run_one_method(oracle, name, entry)
         label = entry.get("label", f"{name}-k{config.k}" if config.k > 1 else name)
         try:
             result = run_experiment(oracle, config, x0, tol, budget, seeds=seeds,

@@ -406,16 +406,6 @@ class StrategyConfig:
         return self
 
 
-@dataclass
-class StepReport:
-    """What one iteration did, for the harness' accounting and traces."""
-
-    indices: np.ndarray
-    deltas: np.ndarray
-    col_accesses: int
-    stationary: bool = False
-
-
 def pick_cyclic(state: SolverState) -> int:
     return state.ell % state.dim
 
@@ -651,7 +641,7 @@ def vec_ls_alpha(state: SolverState, omega) -> float:
     return float(alpha)
 
 
-def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> StepReport:
+def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> None:
     uniq = np.unique(sampled)
     alpha, v, w = _vec_ls_direction(state, uniq)
     state.x[uniq] += alpha * v
@@ -663,44 +653,41 @@ def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> StepReport:
         for j in np.flatnonzero(counts > 1):
             for _ in range(int(counts[j]) - 1):
                 state.oracle.column(int(j))
-    return StepReport(indices=uniq, deltas=alpha * v, col_accesses=sampled.size)
 
 
-def step(state: SolverState, config: StrategyConfig) -> StepReport:
+def step(state: SolverState, config: StrategyConfig) -> None:
     """Run one iteration of the configured strategy.
 
     Batch deltas are all computed from the pre-step state and then applied
     sequentially, matching independent per-coordinate updating; total column
-    accesses per call equal k.
+    accesses per call equal ``config.columns_per_step(n)``.  Raises
+    :class:`StationaryIterate` when no coordinate can move and
+    :class:`PowerIterationBreakdown` when a power step vanishes.
     """
     if config.pick == "pm":
-        raise ValueError("power-method runs are driven by the harness, not step()")
+        power_method_step(state)
+        return
     k = config.k
-    try:
-        if config.pick == "cyclic":
-            indices = np.array([pick_cyclic(state)])
-        elif config.pick == "gauss_southwell":
-            indices = np.array([pick_gauss_southwell(state)])
-        elif config.pick == "all":
-            indices = np.arange(state.dim)
-        elif config.pick == "greedy_ls":
-            if k == 1:
-                j, alpha = pick_greedy_ls(state)
-                indices = np.array([j])
-                greedy_alphas = np.array([alpha])
-            else:
-                indices, greedy_alphas = pick_greedy_ls_batch(state, k)
+    if config.pick == "cyclic":
+        indices = np.array([pick_cyclic(state)])
+    elif config.pick == "gauss_southwell":
+        indices = np.array([pick_gauss_southwell(state)])
+    elif config.pick == "all":
+        indices = np.arange(state.dim)
+    elif config.pick == "greedy_ls":
+        if k == 1:
+            j, alpha = pick_greedy_ls(state)
+            indices = np.array([j])
+            greedy_alphas = np.array([alpha])
         else:
-            indices = pick_grad_power(state, config.t, k, config.with_replacement)
-    except StationaryIterate:
-        empty = np.empty(0, dtype=np.int64)
-        return StepReport(indices=empty, deltas=empty.astype(float),
-                          col_accesses=0, stationary=True)
+            indices, greedy_alphas = pick_greedy_ls_batch(state, k)
+    else:
+        indices = pick_grad_power(state, config.t, k, config.with_replacement)
 
     if config.update == "vec_ls":
-        report = _apply_vec_ls(state, indices)
+        _apply_vec_ls(state, indices)
         state.ell += 1
-        return report
+        return
 
     if config.pick == "greedy_ls":
         deltas = greedy_alphas
@@ -715,10 +702,9 @@ def step(state: SolverState, config: StrategyConfig) -> StepReport:
     for j, delta in zip(indices, deltas):
         state.apply_coordinate_delta(int(j), float(delta))
     state.ell += 1
-    return StepReport(indices=indices, deltas=deltas, col_accesses=indices.size)
 
 
-def power_method_step(state: SolverState) -> StepReport:
+def power_method_step(state: SolverState) -> None:
     """One power iteration, paid column by column (n accesses).
 
     The stored iterate is the Rayleigh-scaled current direction, so the
@@ -745,7 +731,6 @@ def power_method_step(state: SolverState) -> StepReport:
     state.nu = scale * scale
     state.s = scale * scale * rayleigh
     state.ell += 1
-    return StepReport(indices=np.arange(n), deltas=np.empty(0), col_accesses=n)
 
 
 def stepsize_bound(oracle: ColumnOracle) -> float:

@@ -2,8 +2,10 @@
 
 The reference route is intentionally independent of the coordinate-descent
 solvers: dense problems go through the LAPACK symmetric eigensolver, large
-ones through restarted Lanczos with full reorthogonalization on a
-positive-shifted ``A + sigma I``.  Setup passes never count column accesses.
+ones through restarted Lanczos with full reorthogonalization on ``A``
+itself: Krylov subspaces are shift-invariant, so no spectral shift is
+needed to reach the largest eigenvalue.  Setup passes never count column
+accesses.
 
 A run stops when ``eps_obj < tol``, the access budget is exhausted, or the
 divergence/stall detector trips.  ``eps_obj`` is available every iteration
@@ -20,11 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (PowerIterationBreakdown, StrategyConfig, init_state,
-                     power_method_step, step)
-from .operators import ColumnOracle, column_abs_sum_max, frobenius_norm_sq
+from .engine import (PowerIterationBreakdown, StationaryIterate, StrategyConfig,
+                     init_state, step)
+from .operators import ColumnOracle, frobenius_norm_sq
 
 DENSE_REFERENCE_CUTOFF = 2000
+LANCZOS_BLOCK = 60
+LANCZOS_MAX_RESTARTS = 40
+LANCZOS_RESIDUAL_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
 STALL_CHECKS = 1000
 
@@ -50,30 +55,24 @@ class ReferenceSolution:
                 f"leading eigenvalue must be simple: {self.lambda1} <= {self.lambda2}")
 
 
-def _lanczos_extreme(matvec, n: int, v0: np.ndarray, *, ortho_against=(),
-                     block: int = 60, max_restarts: int = 40,
-                     residual_tol: float = 1e-10, rng=None) -> tuple[float, np.ndarray]:
+def _lanczos_extreme(matvec, v0: np.ndarray, *,
+                     ortho_against=()) -> tuple[float, np.ndarray]:
     """Largest eigenpair by restarted Lanczos with full reorthogonalization.
 
-    ``ortho_against`` deflates already-converged eigenvectors: every Krylov
-    vector is reprojected off them, so the method converges to the largest
-    eigenvalue of the complementary invariant subspace.
+    ``v0`` is a random start; ``ortho_against`` deflates already-converged
+    eigenvectors: every Krylov vector is reprojected off them, so the method
+    converges to the largest eigenvalue of the complementary invariant
+    subspace.
     """
-    rng = rng or np.random.default_rng(7)
     v = np.array(v0, dtype=float)
+    n = v.size
     for u in ortho_against:
         v -= (u @ v) * u
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = rng.standard_normal(n)
-        for u in ortho_against:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-    v /= norm
+    v /= np.linalg.norm(v)
 
     theta = 0.0
-    for _ in range(max_restarts):
-        m = min(block, n - len(ortho_against))
+    for _ in range(LANCZOS_MAX_RESTARTS):
+        m = min(LANCZOS_BLOCK, n - len(ortho_against))
         basis = np.empty((m, n))
         alphas = np.empty(m)
         betas = np.empty(max(m - 1, 0))
@@ -106,19 +105,22 @@ def _lanczos_extreme(matvec, n: int, v0: np.ndarray, *, ortho_against=(),
         ritz = basis[:size].T @ tri_vecs[:, -1]
         ritz /= np.linalg.norm(ritz)
         resid = np.linalg.norm(matvec(ritz) - theta * ritz)
-        if resid <= residual_tol * max(1.0, abs(theta)):
+        if resid <= LANCZOS_RESIDUAL_TOL * max(1.0, abs(theta)):
             return theta, ritz
         v = ritz
     raise ReferenceFailure(
-        f"Lanczos stalled at residual {resid:.3e} after {max_restarts} restarts")
+        f"Lanczos stalled at residual {resid:.3e} after {LANCZOS_MAX_RESTARTS} restarts")
 
 
-def compute_reference(oracle: ColumnOracle,
-                      dense_cutoff: int = DENSE_REFERENCE_CUTOFF) -> ReferenceSolution:
-    """Top two eigenpairs plus ``f* = ||A||_F^2 - lambda_1^2``; all uncounted."""
+def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
+    """Top two eigenpairs plus ``f* = ||A||_F^2 - lambda_1^2``; all uncounted.
+
+    Orders up to ``DENSE_REFERENCE_CUTOFF`` go through LAPACK, larger ones
+    through Lanczos.
+    """
     n = oracle.dim
     frob_sq = frobenius_norm_sq(oracle)
-    if n <= dense_cutoff:
+    if n <= DENSE_REFERENCE_CUTOFF:
         dense = np.zeros((n, n))
         with oracle.counting_paused():
             for j in range(n):
@@ -128,16 +130,10 @@ def compute_reference(oracle: ColumnOracle,
         v1 = vecs[:, -1]
         source = "dense"
     else:
-        sigma = column_abs_sum_max(oracle)  # >= spectral radius
-
-        def matvec(w):
-            return oracle.matvec(w) + sigma * w
-
         rng = np.random.default_rng(12345)
-        th1, v1 = _lanczos_extreme(matvec, n, rng.standard_normal(n), rng=rng)
-        th2, _ = _lanczos_extreme(matvec, n, rng.standard_normal(n),
-                                  ortho_against=(v1,), rng=rng)
-        lam1, lam2 = th1 - sigma, th2 - sigma
+        lam1, v1 = _lanczos_extreme(oracle.matvec, rng.standard_normal(n))
+        lam2, _ = _lanczos_extreme(oracle.matvec, rng.standard_normal(n),
+                                   ortho_against=(v1,))
         source = "lanczos"
     resid = np.linalg.norm(oracle.matvec(v1) - lam1 * v1)
     if resid > 1e-8 * max(1.0, abs(lam1)):
@@ -223,21 +219,22 @@ def _lower_median(values: list[int]) -> int:
 
 def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                tol: float, max_col_access: int, seed: int,
-               reference: ReferenceSolution, x_ref: np.ndarray | None = None,
-               trace_stride: int = 0, stall_checks: int = STALL_CHECKS) -> RunOutcome:
-    """Drive one seeded run to convergence, budget, or failure."""
+               reference: ReferenceSolution, trace_stride: int = 0) -> RunOutcome:
+    """Drive one seeded run to convergence, budget, or failure.
+
+    The energy metric projects onto ``x0``; the run stalls after
+    ``STALL_CHECKS`` checks without a new best gap.
+    """
     lam1 = reference.lambda1
     fstar = reference.fstar
     frob_sq = reference.frob_sq
     v1 = reference.v1
-    if x_ref is None:
-        x_ref = x0
-    ref_nonzero = np.flatnonzero(x_ref)
+    stall_checks = STALL_CHECKS
+    ref_nonzero = np.flatnonzero(x0)
     sparse_ref = int(ref_nonzero[0]) if ref_nonzero.size == 1 else None
 
     start_count = oracle.access_count
     state = init_state(oracle, x0, rng=np.random.default_rng(seed))
-    is_pm = config.pick == "pm"
     k_per_step = config.columns_per_step(oracle.dim)
 
     trace: list[TraceRecord] = []
@@ -251,7 +248,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
             energy = (state.z[sparse_ref] / state.x[sparse_ref]
                       if state.x[sparse_ref] != 0.0 else math.nan)
         else:
-            energy = projected_energy(state.x, state.z, x_ref)
+            energy = projected_energy(state.x, state.z, x0)
         e_energy = abs(energy - lam1) / abs(lam1) if math.isfinite(energy) else math.nan
         trace.append(TraceRecord(
             iteration=state.ell,
@@ -291,11 +288,11 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                 break
         best_f = min(best_f, f_val)
         try:
-            report = power_method_step(state) if is_pm else step(state, config)
+            step(state, config)
         except PowerIterationBreakdown:
             status = "diverged"
             break
-        if report.stationary:
+        except StationaryIterate:
             status = "converged" if math.sqrt(max(gap(), 0.0) / fstar) < tol else "stalled"
             break
         if trace_stride and state.ell % trace_stride == 0:
@@ -309,9 +306,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
 def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                    tol: float, max_col_access: int, seeds: int = 20,
                    reference: ReferenceSolution | None = None,
-                   x_ref: np.ndarray | None = None, label: str = "",
-                   trace_stride: int = 0,
-                   stall_checks: int = STALL_CHECKS) -> ExperimentResult:
+                   label: str = "", trace_stride: int = 0) -> ExperimentResult:
     """Multi-seed run with Table-style statistics.
 
     Deterministic strategies run once; stochastic ones once per seed with
@@ -324,8 +319,7 @@ def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         reference = compute_reference(oracle)
     n_runs = 1 if config.deterministic else seeds
     outcomes = [run_single(oracle, config, x0, tol, max_col_access, seed_i,
-                           reference, x_ref=x_ref, trace_stride=trace_stride,
-                           stall_checks=stall_checks)
+                           reference, trace_stride=trace_stride)
                 for seed_i in range(n_runs)]
     converged = [o.iterations for o in outcomes if o.status == "converged"]
     failed = len(outcomes) - len(converged)

@@ -172,9 +172,6 @@ class MomentumBasis:
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError("determinants must be distinct and sorted by (up, down)")
 
-    def __len__(self) -> int:
-        return self.up_masks.size
-
     @property
     def dim(self) -> int:
         return self.up_masks.size
@@ -205,66 +202,56 @@ class MomentumBasis:
         return spec.t_hop * kin + hub
 
 
-def _spin_masks_by_momentum(spec: LatticeSpec, count: int):
-    masks = sorted(sum(1 << p for p in combo)
-                   for combo in itertools.combinations(range(spec.n_orb), count))
+def _spin_masks_by_momentum(spec: LatticeSpec, count: int) -> dict[tuple[int, int], list[int]]:
     buckets: dict[tuple[int, int], list[int]] = {}
-    for m in masks:
-        buckets.setdefault(spec.momentum_of(m), []).append(m)
-    return masks, buckets
+    for combo in itertools.combinations(range(spec.n_orb), count):
+        mask = sum(1 << p for p in combo)
+        buckets.setdefault(spec.momentum_of(mask), []).append(mask)
+    return buckets
+
+
+def _sector_blocks(spec: LatticeSpec):
+    """The HF sector's momentum and its (up masks, down masks) blocks.
+
+    Every up mask of one momentum pairs with every down mask of the
+    complementary momentum, so the blocks' products tile the sector.
+    """
+    hf = hf_determinant(spec)
+    mu = spec.momentum_of(hf.up)
+    md = spec.momentum_of(hf.down)
+    tgt1, tgt2 = (mu[0] + md[0]) % spec.l1, (mu[1] + md[1]) % spec.l2
+    up_buckets = _spin_masks_by_momentum(spec, spec.n_up)
+    if spec.n_down == spec.n_up:
+        down_buckets = up_buckets
+    else:
+        down_buckets = _spin_masks_by_momentum(spec, spec.n_down)
+    blocks = []
+    for (m1, m2), ups in up_buckets.items():
+        downs = down_buckets.get(((tgt1 - m1) % spec.l1, (tgt2 - m2) % spec.l2))
+        if downs:
+            blocks.append((ups, downs))
+    return (tgt1, tgt2), blocks
 
 
 def sector_dimension(spec: LatticeSpec) -> int:
     """Dimension of the HF momentum sector without materializing it."""
-    hf = hf_determinant(spec)
-    tgt1, tgt2 = _total_momentum(spec, hf)
-    _, up_buckets = _spin_masks_by_momentum(spec, spec.n_up)
-    if spec.n_down == spec.n_up:
-        down_buckets = up_buckets
-    else:
-        _, down_buckets = _spin_masks_by_momentum(spec, spec.n_down)
-    total = 0
-    for (m1, m2), ups in up_buckets.items():
-        need = ((tgt1 - m1) % spec.l1, (tgt2 - m2) % spec.l2)
-        total += len(ups) * len(down_buckets.get(need, ()))
-    return total
-
-
-def _total_momentum(spec: LatticeSpec, det: Determinant) -> tuple[int, int]:
-    mu = spec.momentum_of(det.up)
-    md = spec.momentum_of(det.down)
-    return (mu[0] + md[0]) % spec.l1, (mu[1] + md[1]) % spec.l2
+    _, blocks = _sector_blocks(spec)
+    return sum(len(ups) * len(downs) for ups, downs in blocks)
 
 
 def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> MomentumBasis:
     """Enumerate the total-momentum block of the HF determinant."""
-    dim = sector_dimension(spec)
+    momentum, blocks = _sector_blocks(spec)
+    dim = sum(len(ups) * len(downs) for ups, downs in blocks)
     if dim > max_dim:
         raise SectorTooLarge(
             f"sector dimension {dim} exceeds cap {max_dim}; raise max_dim to proceed")
-    hf = hf_determinant(spec)
-    tgt1, tgt2 = _total_momentum(spec, hf)
-    up_masks, _ = _spin_masks_by_momentum(spec, spec.n_up)
-    if spec.n_down == spec.n_up:
-        down_masks = up_masks
-    else:
-        down_masks, _ = _spin_masks_by_momentum(spec, spec.n_down)
-    down_buckets: dict[tuple[int, int], list[int]] = {}
-    for m in down_masks:
-        down_buckets.setdefault(spec.momentum_of(m), []).append(m)
-
-    ups = np.empty(dim, dtype=np.int64)
-    downs = np.empty(dim, dtype=np.int64)
-    pos = 0
-    for up in up_masks:  # ascending; down buckets ascending too
-        m1, m2 = spec.momentum_of(up)
-        need = ((tgt1 - m1) % spec.l1, (tgt2 - m2) % spec.l2)
-        for dn in down_buckets.get(need, ()):
-            ups[pos] = up
-            downs[pos] = dn
-            pos += 1
-    assert pos == dim
-    return MomentumBasis(spec, (tgt1, tgt2), ups, downs)
+    n_orb = spec.n_orb
+    keys = np.concatenate([((np.array(ups, dtype=np.int64)[:, None] << n_orb)
+                            | np.array(downs, dtype=np.int64)).ravel()
+                           for ups, downs in blocks])
+    keys.sort()
+    return MomentumBasis(spec, momentum, keys >> n_orb, keys & ((1 << n_orb) - 1))
 
 
 def _moves(masks: np.ndarray, table: np.ndarray, q: np.ndarray):

@@ -89,16 +89,12 @@ class ColumnOracle(ABC):
     def prepare(self) -> None:
         """Optional expensive setup (e.g. sparse assembly); uncounted."""
 
+    @abstractmethod
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Uncounted ``A @ x`` for setup/reference work only.
 
         Solvers must not call this; they pay per column instead.
         """
-        y = np.zeros(self._dim)
-        with self.counting_paused():
-            for j in np.flatnonzero(x):
-                self.add_column(int(j), x[j], y)
-        return y
 
     def diag_vector(self) -> np.ndarray:
         return np.array([self.diag(j) for j in range(self._dim)])

@@ -322,18 +322,16 @@ def test_criterion_10_hubbard_benchmark(hubbard33):
     x0[hf] = 10.0
 
     gls = run_experiment(shifted, StrategyConfig(pick="greedy_ls", update="coord_ls"),
-                         x0, 1e-6, 10**8, reference=ref, x_ref=x0,
-                         label="GCD-LS-LS").stats
+                         x0, 1e-6, 10**8, reference=ref, label="GCD-LS-LS").stats
     ggl = run_experiment(shifted, StrategyConfig(pick="gauss_southwell",
                                                  update="coord_ls"),
-                         x0, 1e-6, 10**8, reference=ref, x_ref=x0,
-                         label="GCD-Grad-LS").stats
+                         x0, 1e-6, 10**8, reference=ref, label="GCD-Grad-LS").stats
     in_band = all(0.5 * 31000 <= s.total_col_access <= 2.0 * 31000
                   for s in (gls, ggl))
 
     pm_budget = 100 * max(gls.total_col_access, ggl.total_col_access)
     pm_out = run_single(shifted, StrategyConfig(pick="pm", update="coord_ls"),
-                        x0, 1e-6, pm_budget + n, 0, ref, x_ref=x0)
+                        x0, 1e-6, pm_budget + n, 0, ref)
     if pm_out.status == "converged":
         pm_cost = pm_out.iterations * n
         beats = pm_cost >= 100 * max(gls.total_col_access, ggl.total_col_access)
@@ -356,7 +354,7 @@ def test_criterion_10_extended_power_method(hubbard33):
     x0 = np.zeros(n)
     x0[shifted.base.hf_index] = 10.0
     pm = run_experiment(shifted, StrategyConfig(pick="pm", update="coord_ls"),
-                        x0, 1e-6, 10**8, reference=ref, x_ref=x0, label="PM").stats
+                        x0, 1e-6, 10**8, reference=ref, label="PM").stats
     total = pm.total_col_access
     ok = 0.5 * 44_198_000 <= total <= 2.0 * 44_198_000
     check(10, "hubbard power method, full run (extended)", ok,

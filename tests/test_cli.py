@@ -152,6 +152,24 @@ class TestCommands:
         assert main(["bench", "--config", str(path)]) == 2
         assert f"bench config: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,message", [
+        ({}, "bench config: methods must list at least one method entry"),
+        ({"methods": [{"k": 2}]}, "bench config: methods[0]: expected an object with a name"),
+        ({"methods": [{"name": "GCD-LS-LS", "k": "2"}]},
+         "bench config: methods[0]: k must be an integer, got '2'"),
+        ({"seeds": "abc", "methods": [{"name": "SCD-Uni-LS"}]},
+         "bench config: seeds must be an integer, got 'abc'"),
+        ({"methods": [{"name": "SCD-Uni-LS", "replacement": "false"}]},
+         "bench config: methods[0]: replacement must be true or false, got 'false'"),
+    ], ids=["no-methods", "no-name", "string-k", "string-seeds", "string-replacement"])
+    def test_bench_malformed_key_refused(self, config, message, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4",
+                                    "out": str(tmp_path / "out"), **config}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method", ["GCD-LS-LS", "PM"])
     def test_zero_x0_refused(self, method, capsys):
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",

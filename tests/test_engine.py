@@ -523,6 +523,20 @@ def test_sampled_run_matches_sequential_pick(monkeypatch):
     assert sum(picks is not None for picks in decided) >= 0.99 * len(decided)
 
 
+@pytest.fixture
+def applied(monkeypatch):
+    """Every ``(j, delta)`` that ``apply_coordinate_delta`` receives."""
+    calls = []
+    original = SolverState.apply_coordinate_delta
+
+    def record(self, j, alpha):
+        calls.append((j, alpha))
+        original(self, j, alpha)
+
+    monkeypatch.setattr(SolverState, "apply_coordinate_delta", record)
+    return calls
+
+
 class TestStep:
     def test_cyclic_grad_reproduces_update_rule(self, small_synthetic):
         gamma = stepsize_bound(small_synthetic)
@@ -568,32 +582,39 @@ class TestStep:
                 step(state, config)
             assert small_synthetic.access_count - base == 57 * config.k
 
-    def test_coord_ls_zeroes_picked_gradient(self, small_synthetic):
+    def test_coord_ls_zeroes_picked_gradient(self, small_synthetic, applied):
         rng = np.random.default_rng(15)
         state = fresh_state(small_synthetic, rng.standard_normal(30), seed=15)
         config = StrategyConfig(pick="grad_power", update="coord_ls", t=1.0)
-        for _ in range(200):
-            report = step(state, config)
-            j = int(report.indices[0])
+        for i in range(200):
+            step(state, config)
+            assert len(applied) == i + 1
+            j = applied[-1][0]
             scale = 1.0 + abs(state.nu)
             assert abs(state.nu * state.x[j] - state.z[j]) < 1e-8 * scale
 
     @pytest.mark.parametrize("name,k", [("SCD-Uni-Grad", 3), ("CD-Cyc-Grad", 1)])
-    def test_fixed_grad_deltas_match_full_scores(self, small_synthetic, name, k):
+    def test_fixed_grad_deltas_match_full_scores(self, small_synthetic, name, k,
+                                                 applied):
         config = parse_method(name, k=k, gamma=stepsize_bound(small_synthetic))
         state = fresh_state(small_synthetic,
                             np.random.default_rng(19).standard_normal(30), seed=19)
         for _ in range(100):
             c = state.gradient_scores()
-            report = step(state, config)
-            expect = -config.gamma * 4.0 * c[report.indices]
-            assert report.deltas.tobytes() == expect.tobytes()
+            applied.clear()
+            step(state, config)
+            assert len(applied) == k
+            indices, deltas = zip(*applied)
+            expect = -config.gamma * 4.0 * c[list(indices)]
+            assert np.array(deltas).tobytes() == expect.tobytes()
 
     def test_stationary_signal_propagates(self, small_synthetic):
         state = fresh_state(small_synthetic, np.zeros(30))
-        report = step(state, StrategyConfig(pick="grad_power", update="coord_ls", t=1.0))
-        assert report.stationary
-        assert report.col_accesses == 0
+        base = small_synthetic.access_count
+        with pytest.raises(StationaryIterate):
+            step(state, StrategyConfig(pick="grad_power", update="coord_ls", t=1.0))
+        assert small_synthetic.access_count == base
+        assert state.ell == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -638,10 +659,7 @@ class TestStrategyAccounting:
             state = fresh_state(small_synthetic, np.eye(30)[0] + 0.1, seed=seed)
             base = small_synthetic.access_count
             for _ in range(4):
-                if config.pick == "pm":
-                    power_method_step(state)
-                else:
-                    step(state, config)
+                step(state, config)
             assert small_synthetic.access_count - base == 4 * per_step
             finals.append(state.x.copy())
         assert np.array_equal(*finals) is deterministic
@@ -666,8 +684,9 @@ class TestVecLS:
         a = small_synthetic.array
         x = rng.standard_normal(30)
         state = fresh_state(small_synthetic, x)
-        report = step(state, StrategyConfig(pick="all", update="vec_ls"))
-        assert report.col_accesses == 30
+        base = small_synthetic.access_count
+        step(state, StrategyConfig(pick="all", update="vec_ls"))
+        assert small_synthetic.access_count - base == 30
         # exhaustive scan along the full gradient direction
         g = 4.0 * (float(x @ x) * x - a @ x)
         scan = np.linspace(-0.1, 0.1, 200_001)
@@ -742,6 +761,16 @@ class TestPowerMethod:
         for _ in range(7):
             power_method_step(state)
         assert small_synthetic.access_count - base == 7 * 30
+
+    def test_step_runs_the_power_method(self, small_synthetic):
+        x0 = np.eye(30)[0] + 0.1
+        direct, stepped = (fresh_state(small_synthetic, x0) for _ in range(2))
+        for _ in range(5):
+            power_method_step(direct)
+            step(stepped, StrategyConfig(pick="pm", update="coord_ls"))
+        for name in ("x", "z"):
+            assert getattr(stepped, name).tobytes() == getattr(direct, name).tobytes()
+        assert (stepped.nu, stepped.s, stepped.ell) == (direct.nu, direct.s, direct.ell)
 
     def test_rayleigh_scaling_tracks_eigenvalue(self, small_synthetic):
         vals = np.linalg.eigvalsh(small_synthetic.array)

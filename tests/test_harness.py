@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eigencd import harness, operators
 from eigencd.cli import parse_method
 from eigencd.engine import StrategyConfig
 from eigencd.harness import (AllSeedsFailed, ReferenceSolution, TraceRecord,
@@ -34,14 +35,43 @@ class TestReference:
         assert ref.lambda1 == pytest.approx(9.0, abs=1e-8)
         assert ref.lambda2 == pytest.approx(spec.eigenvalues[1], abs=1e-8)
 
-    def test_lanczos_path_matches_dense(self):
-        a = build_synthetic(SpectrumSpec.gapped_grid(60, 8.0, 0.2, 4.0, seed=35))
+    @staticmethod
+    def _assert_lanczos_matches_dense(monkeypatch, spec):
+        a = build_synthetic(spec)
         dense = compute_reference(a)
-        lanczos = compute_reference(a, dense_cutoff=10)
-        assert lanczos.source == "lanczos"
+        monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", 10)
+        lanczos = compute_reference(a)
+        assert (dense.source, lanczos.source) == ("dense", "lanczos")
         assert lanczos.lambda1 == pytest.approx(dense.lambda1, abs=1e-8)
         assert lanczos.lambda2 == pytest.approx(dense.lambda2, abs=1e-7)
         assert abs(float(lanczos.v1 @ dense.v1)) == pytest.approx(1.0, abs=1e-7)
+
+    def test_lanczos_path_matches_dense(self, monkeypatch):
+        self._assert_lanczos_matches_dense(
+            monkeypatch, SpectrumSpec.gapped_grid(60, 8.0, 0.2, 4.0, seed=35))
+
+    def test_lanczos_path_matches_dense_under_a_negative_tail(self, monkeypatch):
+        # the tail reaches -50, so the spectrum is largest in magnitude at
+        # its bottom; unshifted Lanczos must still return the top pair
+        self._assert_lanczos_matches_dense(
+            monkeypatch, SpectrumSpec.gapped_grid(60, 8.0, -50.0, 4.0, seed=35))
+
+    def test_lanczos_path_makes_one_norm_survey(self, monkeypatch):
+        # the Frobenius survey reads each column once; the eigensolve and
+        # its residual check go through matvec only
+        a = build_synthetic(SpectrumSpec.gapped_grid(60, 8.0, 0.2, 4.0, seed=35))
+        reads = []
+        column = operators.ColumnOracle.column
+
+        def counted(self, j):
+            reads.append(j)
+            return column(self, j)
+
+        monkeypatch.setattr(operators.ColumnOracle, "column", counted)
+        monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", 10)
+        assert compute_reference(a).source == "lanczos"
+        assert sorted(reads) == list(range(60))
+        assert a.access_count == 0
 
     def test_reference_is_uncounted(self):
         a = build_synthetic(SpectrumSpec.gapped_grid(50, 8.0, 0.2, 4.0, seed=36))
@@ -156,12 +186,13 @@ class TestRunExperiment:
         with pytest.raises(AllSeedsFailed):
             run_experiment(a, cfg, x0, 1e-6, 10**7, reference=ref)
 
-    def test_stall_detector_trips(self, instance):
+    def test_stall_detector_trips(self, instance, monkeypatch):
         a, ref = instance
         x0 = np.zeros(120)
         x0[0] = 1.0
         cfg = StrategyConfig(pick="greedy_ls", update="coord_ls", k=4)
-        out = run_single(a, cfg, x0, 1e-6, 10**8, 0, ref, stall_checks=500)
+        monkeypatch.setattr(harness, "STALL_CHECKS", 500)
+        out = run_single(a, cfg, x0, 1e-6, 10**8, 0, ref)
         assert out.status in ("stalled", "diverged")
 
     def test_stall_rule_spares_uniform_sampling(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigencd import hubbard
+from eigencd import harness, hubbard
 from eigencd.harness import DENSE_REFERENCE_CUTOFF, compute_reference
 from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
                              LatticeSpec, MomentumBasis, SectorTooLarge,
@@ -247,7 +247,8 @@ class TestOracle:
 
         monkeypatch.setattr(hubbard, "_column_kernel", counted)
         oracle = HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5))
-        compute_reference(shift_scale(oracle, -1.0, 100.0), dense_cutoff=dense_cutoff)
+        monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", dense_cutoff)
+        compute_reference(shift_scale(oracle, -1.0, 100.0))
         assert blocks == [(0, 256), (256, 336)]
 
 
