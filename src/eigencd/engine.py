@@ -30,21 +30,55 @@ dropping ``beta^4`` only lowers g, so ``min g_j >= -2 q_j^2 / p_j`` and
 
     gain_j >= -(2 w_j^2 / p_j + x_j^4),   w_j = q_j + p_j x_j = d_j - x_j^3.
 
-The seeds are the coordinate with the lowest such bound and the one with the
-largest gradient ``|d_j|`` (the k of each for a batch of k); their exact
-gains come from the scalar twin :func:`solve_cubic_min`, and the k-th best
-of them is the incumbent ``G``.  A coordinate is screened out only when
-``p_j > 0`` and its bound lies above ``G`` by more than the margin, tested as
-``key_j < bar`` with ``key_j = 2 w_j^2 / p_j + x_j^4``, minus the bound; NaN
-never passes that test, and neither does an inf in x, z or the diagonal, so
-such coordinates are always solved.  Every other coordinate goes
-through one :func:`cubic_min_roots` call with the full sweep's formulas, so
-the winner, its step and the tie to the lowest index are the full sweep's
-bit for bit.
+The key of that bound is ``key_j = 2 w_j^2 / p_j + x_j^4``.  Each sweep
+has an incumbent ``G``: the k-th best exact gain of a few seed coordinates,
+from the scalar twin :func:`solve_cubic_min` at the current state (any exact
+gain is a valid incumbent).  Coordinate j can still be among the k best only
+when ``key_j >= -G``, up to the margin below, or when ``p_j <= 0``.
+
+The keys are cached on the state as upper keys ``U_j``, computed at a
+reference ``nu0`` and valid for every ``nu`` with ``|nu - nu0| <= Delta``,
+``Delta = SCREEN_DRIFT * s0`` (s as below, at ``nu0``).  For fixed
+``x_j, z_j, A_jj``, a move of nu by at most Delta
+
+* lowers ``p_j = nu - x_j^2 - A_jj`` by at most Delta;
+* raises ``|w_j| = |nu x_j - z_j - x_j^3|`` by at most ``Delta |x_j|``;
+* raises ``s = |nu| + max_j |A_jj|`` by at most Delta, to at most
+  ``s+ = s0 + Delta``.
+
+Since ``2 w^2 / p`` grows with ``|w|`` and falls with ``p > 0``,
+
+    U_j = 2 (|w_j(nu0)| + Delta |x_j| + eta s+^1.5)^2 / p_lo_j
+          + x_j^2 (x_j^2 + 3 eta s+),   p_lo_j = p_j(nu0) - Delta - eta s+,
+
+bounds ``key_j`` with its margins at every nu of the window, and U_j is set
+to inf where ``p_lo_j <= 0`` or U_j is NaN (NaN and inf in x or z land
+there).  A sweep takes as candidates the coordinates with ``U_j >= bar``,
+one comparison that keeps every inf, and sends them through one
+:func:`cubic_min_roots` call with the full sweep's formulas, so the winner,
+its step and the tie to the lowest index are the full sweep's bit for bit.
+A NaN ``bar`` screens nothing out.
+
+Invalidation.  U_j reads only ``x_j``, ``z_j``, ``A_jj`` and the cache's
+constants.  A step on coordinate j changes ``x_j`` and z on the rows of
+column j, so :meth:`SolverState.apply_coordinate_delta` records those rows
+and j while a cache exists, and the next sweep recomputes U on them with the
+same formula.  A sweep rebuilds every U_j at its own nu when
+``|nu - nu0| > Delta`` (or is NaN), and every other change drops the cache:
+a fresh state, :meth:`SolverState.revalidate` (which the vector line search
+calls, and which runs every n coordinate applications, so the record of
+touched rows stays below 2n entries), :func:`power_method_step`, and a dense
+column, which touches every row.
+
+The seeds are the last sweep's best ``SCREEN_SEEDS * k`` coordinates; on a
+rebuild, or when they are fewer than k, also the coordinate with the
+largest finite U and the one with the largest gradient ``|d_j|`` (the k of
+each).
 
 The margin covers rounding, with ``s = |nu| + max_j |A_jj|`` (so that
 ``x_j^2 <= s`` wherever ``p_j > 0``) and ``eta = 2^-36``, about 1e5 times
-the unit roundoff:
+the unit roundoff.  U_j carries it with ``s+ >= s``, so each term is at
+least the one stated here:
 
 * ``p_j`` is lowered by ``eta s`` and ``|w_j|`` raised by ``eta s^1.5``,
   which bound their distance from the depressed coefficients of the sweep's
@@ -111,19 +145,35 @@ from .operators import ColumnOracle, column_norm_max
 
 _TWO_PI_3 = 2.0 * np.pi / 3.0
 
-# The greedy sweep screens only from this dimension up.  The screen costs
-# about 20 array passes, two scalar seed solves and a survivor gather per
-# sweep, and the one cubic_min_roots call keeps its fixed cost of about
-# 200 us however few coordinates survive.  Median sweep, full -> screened,
-# along GCD-LS-LS runs on a 2-CPU x86 VM: Hubbard 100I-H sectors n = 104
-# 265 -> 386 us, 783 337 -> 402, 1,210 378 -> 423, 1,440 357 -> 404,
-# 1,820 367 -> 366, 2,366 422 -> 423, 3,185 504 -> 465, 4,036 546 -> 465,
-# 19,600 1,380 -> 561; dense synthetic n = 500 147 -> 215, 1,500
-# 225 -> 237, 2,000 258 -> 253, 3,000 313 -> 264.  The crossover is near
-# n = 2,000 on both kinds of input.
+# The greedy sweep screens only from this dimension up.  A screened sweep
+# refreshes the cached keys on the rows the last step touched (every row
+# after a dense column), solves a few scalar seeds, compares n keys with
+# the bar and gathers the candidates, and the one cubic_min_roots call
+# keeps a fixed cost of about 45 us however few coordinates it gets.
+# Median sweep, full -> screened, along GCD-LS-LS runs on a 2-CPU x86 VM:
+# Hubbard 100I-H sectors n = 104 61 -> 107 us, 783 86 -> 105, 1,210
+# 96 -> 100, 1,440 101 -> 106, 1,820 113 -> 115, 2,366 145 -> 105, 3,185
+# 171 -> 107, 4,036 197 -> 106, 19,600 751 -> 107; dense synthetic n = 500
+# 68 -> 106, 1,500 100 -> 108, 2,000 120 -> 121, 3,000 157 -> 124.  The
+# crossover is near n = 2,000 on both kinds of input (on dense input every
+# sweep rebuilds all keys), and the floor keeps the n = 500 suite unscreened.
 SCREEN_MIN_DIM = 2500
 SCREEN_ETA = 2.0 ** -36
 SCREEN_MAX_SCALE = 2.0 ** 300
+
+# The cached screen keys stay valid while nu moves by at most SCREEN_DRIFT * s
+# (s = |nu| + max|A_jj|, about 225 on Hubbard 100I-H), and each sweep seeds
+# its incumbent with the last sweep's best SCREEN_SEEDS * k coordinates.
+# Along GCD-LS-LS to 1e-4 on Hubbard 4x4 3+3 (3,923 sweeps, 2-CPU x86 VM),
+# drift / seeds: full rebuilds, candidates median / p90 / mean, us per step:
+# 2^-7 / 4: 2, 479 / 694 / 460, 151;  2^-9 / 2: 29, 217 / 916 / 1,023, 172;
+# 2^-9 / 4: 29, 195 / 293 / 182, 134;  2^-9 / 8: 29, 172 / 286 / 170, 149;
+# 2^-11 / 4: 485, 83 / 155 / 91, 156;  2^-13 / 4: 1,069, 51 / 121 / 61, 179.
+# With one seed per pick the median sweep keeps all 19,600 coordinates (about
+# 960 us per step): the only seed is the coordinate just stepped, whose gain
+# is then about 0.
+SCREEN_DRIFT = 2.0 ** -9
+SCREEN_SEEDS = 4
 
 # The sampled pick certifies k draws when n >= k * SAMPLE_MIN_DIM.  A draw
 # costs about 10 us of numpy calls, against about 4.5 ns per coordinate
@@ -179,7 +229,9 @@ def cubic_min_roots(b, c, d):
 
     Closed forms (Cardano / trigonometric) seeded into two Newton steps on
     the monic cubic; with three real roots the candidate with the lower
-    associated quartic gain wins, exact ties to the smaller root.
+    associated quartic gain wins, exact ties to the smaller root.  The
+    Newton steps and gains of both branches run stacked in one array: every
+    element sees the same arithmetic as alone, so only the call count drops.
     """
     b, c, d = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                     for v in (b, c, d)))
@@ -188,30 +240,28 @@ def cubic_min_roots(b, c, d):
     q = shift * (2.0 * shift * shift - c) + d
     disc = 0.25 * q * q + p * p * p / 27.0
 
-    out = np.empty_like(p)
     single = disc > 0
-    if np.any(single):
-        s = np.sqrt(disc[single])
-        half_q = 0.5 * q[single]
-        y = np.cbrt(-half_q + s) + np.cbrt(-half_q - s)
-        out[single] = _newton_polish(y - shift[single],
-                                     b[single], c[single], d[single])
-    multi = ~single
-    if np.any(multi):
-        pm, qm = p[multi], q[multi]
-        m = 2.0 * np.sqrt(np.maximum(-pm / 3.0, 0.0))
-        denom = pm * m
-        ratio = np.divide(3.0 * qm, denom, out=np.zeros_like(qm),
-                          where=denom != 0)
-        theta = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
-        big = m * np.cos(theta)
-        small = m * np.cos(theta - 2.0 * _TWO_PI_3)
-        bm, cm, dm = b[multi], c[multi], d[multi]
-        r_hi = _newton_polish(big - shift[multi], bm, cm, dm)
-        r_lo = _newton_polish(small - shift[multi], bm, cm, dm)
-        gain_hi = _quartic_gain(r_hi, bm, cm, dm)
-        gain_lo = _quartic_gain(r_lo, bm, cm, dm)
-        out[multi] = np.where(gain_hi < gain_lo, r_hi, r_lo)
+    multi = np.flatnonzero(~single)
+    single = np.flatnonzero(single)
+    s = np.sqrt(disc[single])
+    half_q = 0.5 * q[single]
+    y = np.cbrt(-half_q + s) + np.cbrt(-half_q - s)
+    pm, qm = p[multi], q[multi]
+    m = 2.0 * np.sqrt(np.maximum(-pm / 3.0, 0.0))
+    denom = pm * m
+    ratio = np.divide(3.0 * qm, denom, out=np.zeros_like(qm), where=denom != 0)
+    theta = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
+    big = m * np.cos(theta)
+    small = m * np.cos(theta - 2.0 * _TWO_PI_3)
+    # [lone roots, larger roots, smaller roots], polished together
+    at = np.concatenate((single, multi, multi))
+    bs, cs, ds = b[at], c[at], d[at]
+    roots = _newton_polish(np.concatenate((y, big, small)) - shift[at], bs, cs, ds)
+    ns, nm = single.size, multi.size
+    gains = _quartic_gain(roots[ns:], bs[ns:], cs[ns:], ds[ns:])
+    out = np.empty_like(p)
+    out[single] = roots[:ns]
+    out[multi] = np.where(gains[:nm] < gains[nm:], roots[ns:ns + nm], roots[ns + nm:])
     return out
 
 
@@ -264,10 +314,15 @@ class SolverState:
     :meth:`revalidate`, which also runs automatically every n coordinate
     applications, recomputes ``nu`` and ``s`` from ``x`` and ``z`` and does
     not touch ``z``.
+
+    The greedy sweep caches its screen keys here (see the module docstring).
+    Change ``x`` or ``z`` through :meth:`apply_coordinate_delta`, which
+    records the rows it touches while that cache exists, or call
+    :meth:`revalidate` afterwards, which drops the cache.
     """
 
     __slots__ = ("oracle", "x", "z", "nu", "s", "ell", "rng",
-                 "_diag", "_applies", "_work")
+                 "_diag", "_applies", "_work", "_screen_cache")
 
     def __init__(self, oracle: ColumnOracle, x: np.ndarray, z: np.ndarray,
                  rng: np.random.Generator):
@@ -281,6 +336,7 @@ class SolverState:
         self._diag = None
         self._applies = 0
         self._work = None
+        self._screen_cache: _ScreenCache | None = None
 
     @property
     def dim(self) -> int:
@@ -311,6 +367,7 @@ class SolverState:
     def revalidate(self) -> None:
         self.nu = float(self.x @ self.x)
         self.s = float(self.x @ self.z)
+        self._screen_cache = None
 
     def apply_coordinate_delta(self, j: int, alpha: float) -> None:
         """Move coordinate j by alpha and refresh the cached quantities.
@@ -320,11 +377,16 @@ class SolverState:
         x = self.x
         xj_old = x[j]
         zj_old = self.z[j]
-        self.oracle.add_column(j, alpha, self.z)
+        rows = self.oracle.add_column(j, alpha, self.z)
         ajj = self.oracle.diag(j)
         x[j] = xj_old + alpha
         self.nu += alpha * (2.0 * xj_old + alpha)
         self.s += alpha * (2.0 * zj_old + alpha * ajj)
+        if self._screen_cache is not None:
+            if rows is None:
+                self._screen_cache = None  # a dense column touches every row
+            else:
+                self._screen_cache.dirty += (rows, (j,))
         self._applies += 1
         if self._applies % self.dim == 0:
             self.revalidate()
@@ -412,7 +474,8 @@ def pick_cyclic(state: SolverState) -> int:
 
 def pick_gauss_southwell(state: SolverState) -> int:
     """Largest gradient magnitude, ties to the lowest index."""
-    return int(np.argmax(np.abs(state.gradient_scores())))
+    n = state.dim
+    return int(np.argmax(state.abs_scores(n)[:n]))
 
 
 def _certified_draws(values: np.ndarray, scale: float,
@@ -526,6 +589,54 @@ def coord_cubic(state: SolverState, j: int) -> CubicCoeffs:
                            float(state.oracle.diag(j)))
 
 
+class _ScreenCache:
+    """Upper screen keys, valid while ``|nu - nu0| <= drift``, with the rows
+    touched since they were last refreshed and the last sweep's best
+    coordinates.  See the module docstring."""
+
+    __slots__ = ("nu0", "drift", "scale_hi", "keys", "dirty", "seeds")
+
+    def __init__(self, state: SolverState, scale: float):
+        self.nu0 = state.nu
+        self.drift = SCREEN_DRIFT * scale
+        self.scale_hi = scale + self.drift  # s+: at least s in the window
+        self.keys = self.upper_keys(state.x, state.z, state.diag_vector)
+        self.dirty = []
+        self.seeds = []
+
+    def upper_keys(self, x, z, diag) -> np.ndarray:
+        """U of each coordinate given by ``x, z, diag``; inf where its
+        depressed coefficient p may reach 0 or U is NaN."""
+        nu0, drift, s_hi, eta = self.nu0, self.drift, self.scale_hi, SCREEN_ETA
+        # U = 2 (|nu0 x - z - x^3| + drift |x| + eta s+^1.5)^2
+        #       / (nu0 - drift - eta s+ - x^2 - diag) + x^2 (x^2 + 3 eta s+),
+        # in place where possible: each fresh n-array costs its page faults
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x2 = x * x
+            p_lo = np.subtract(nu0 - drift - eta * s_hi, x2)
+            p_lo -= diag
+            key = x2 * x
+            w = nu0 * x
+            w -= z
+            np.subtract(w, key, out=key)
+            np.abs(key, out=key)
+            np.abs(x, out=w)
+            w *= drift
+            key += w
+            key += eta * s_hi ** 1.5
+            key *= key
+            key += key
+            key /= p_lo
+            x4 = x2 + 3.0 * eta * s_hi
+            x4 *= x2
+            key += x4
+            unsafe = p_lo > 0.0
+            np.logical_not(unsafe, out=unsafe)
+            unsafe |= np.isnan(key)
+            key[unsafe] = np.inf
+        return key
+
+
 def _largest(values: np.ndarray, k: int) -> list[int]:
     if k == 1:
         return [int(np.argmax(values))]
@@ -538,41 +649,35 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     range and every coordinate must be solved.  See the module docstring.
     """
     x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
-    scale = abs(nu) + float(np.max(np.abs(diag)))
-    if not scale <= SCREEN_MAX_SCALE:
-        return None
-    eta = SCREEN_ETA
-    # key = 2 (|d - x^3| + eta s^1.5)^2 / (p - eta s) + x^2 (x^2 + 3 eta s),
-    # in place where possible: each fresh n-array costs its page faults
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x2 = x * x
-        p_lo = np.subtract(nu - eta * scale, x2)
-        p_lo -= diag
-        grad = nu * x
-        grad -= z
-        key = x2 * x
-        np.subtract(grad, key, out=key)
-        np.abs(key, out=key)
-        key += eta * scale ** 1.5
-        key *= key
-        key += key
-        key /= p_lo
-        x4 = x2 + 3.0 * eta * scale
-        x4 *= x2
-        key += x4
-        np.abs(grad, out=grad)
-        seeds = set(_largest(key, k) + _largest(grad, k))
-        gains, size = [], 0.0
-        for j in seeds:
-            xj, zj, ajj = float(x[j]), float(z[j]), float(diag[j])
-            coeffs = CubicCoeffs(3.0 * xj, nu + 2.0 * xj * xj - ajj, nu * xj - zj)
-            alpha = solve_cubic_min(coeffs)
-            gains.append(delta_f(alpha, coeffs))
-            size = max(size, _quartic_gain(abs(alpha), *map(abs, coeffs)))
-        best = float(np.sort(gains)[k - 1])
-        bar = -best - eta * (2.0 * abs(best) + size)
-        excluded = (key < bar) & (p_lo > 0.0)
-    return np.flatnonzero(~excluded)
+    cache = state._screen_cache
+    seeds = set() if cache is None else set(cache.seeds)
+    fresh = cache is None or not abs(nu - cache.nu0) <= cache.drift
+    if fresh:
+        scale = abs(nu) + float(np.max(np.abs(diag)))
+        if not scale <= SCREEN_MAX_SCALE:
+            state._screen_cache = None
+            return None
+        cache = state._screen_cache = _ScreenCache(state, scale)
+    elif cache.dirty:
+        rows = np.concatenate(cache.dirty)
+        cache.dirty.clear()
+        cache.keys[rows] = cache.upper_keys(x[rows], z[rows], diag[rows])
+    keys = cache.keys
+    if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
+        seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
+        seeds.update(_largest(state.abs_scores(x.size), k))
+    gains, size = [], 0.0
+    for j in seeds:
+        xj, zj, ajj = float(x[j]), float(z[j]), float(diag[j])
+        coeffs = CubicCoeffs(3.0 * xj, nu + 2.0 * xj * xj - ajj, nu * xj - zj)
+        alpha = solve_cubic_min(coeffs)
+        gains.append(delta_f(alpha, coeffs))
+        size = max(size, _quartic_gain(abs(alpha), *map(abs, coeffs)))
+    best = float(np.sort(gains)[k - 1])
+    bar = -best - SCREEN_ETA * (2.0 * abs(best) + size)
+    if not bar > -math.inf:
+        bar = -math.inf  # a NaN incumbent screens nothing out
+    return np.flatnonzero(keys >= bar)
 
 
 def pick_greedy_ls(state: SolverState) -> tuple[int, float]:
@@ -606,7 +711,11 @@ def pick_greedy_ls_batch(state: SolverState, k: int) -> tuple[np.ndarray, np.nda
         order = np.array([np.argmin(gains)])
     else:
         order = np.lexsort((np.arange(gains.size), gains))[:k]
-    return (order if rows is None else rows[order]), alphas[order]
+    if rows is None:
+        return order, alphas[order]
+    best = min(SCREEN_SEEDS * k, gains.size)
+    state._screen_cache.seeds = rows[np.argpartition(gains, best - 1)[:best]].tolist()
+    return rows[order], alphas[order]
 
 
 def _vec_ls_direction(state: SolverState, omega: np.ndarray):
@@ -730,6 +839,7 @@ def power_method_step(state: SolverState) -> None:
     state.z = scale * w
     state.nu = scale * scale
     state.s = scale * scale * rayleigh
+    state._screen_cache = None
     state.ell += 1
 
 

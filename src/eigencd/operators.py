@@ -65,11 +65,12 @@ class ColumnOracle(ABC):
             self._accesses += 1
         return self._column(j)
 
-    def add_column(self, j: int, coeff: float, out: np.ndarray) -> None:
+    def add_column(self, j: int, coeff: float, out: np.ndarray) -> np.ndarray | None:
         """``out += coeff * A[:, j]``: the one way a column enters a vector.
 
         Makes exactly one :meth:`column` call, so it charges one access even
-        when ``coeff == 0`` (the addition is then skipped).
+        when ``coeff == 0`` (the addition is then skipped).  Returns the rows
+        the column covers, or None for a dense column, which covers every row.
         """
         rows, vals = self.column(j)
         if coeff != 0.0:
@@ -77,6 +78,7 @@ class ColumnOracle(ABC):
                 out += coeff * vals
             else:
                 out[rows] += coeff * vals
+        return rows
 
     @abstractmethod
     def _column(self, j: int) -> Column:
@@ -177,13 +179,19 @@ def build_synthetic(spec: SpectrumSpec) -> DenseSymmetric:
 
 
 class ShiftScaled(ColumnOracle):
-    """Lazy ``a * M + b * I`` over a wrapped oracle."""
+    """Lazy ``a * M + b * I`` over a wrapped oracle.
+
+    :meth:`prepare` records where each sparse base column stores its
+    diagonal entry, so a column adds the shift without a search; the first
+    sparse column read prepares when nothing has.
+    """
 
     def __init__(self, base: ColumnOracle, a: float, b: float):
         super().__init__(base.dim)
         self._base = base
         self._a = float(a)
         self._b = float(b)
+        self._diag_pos: list[int] | None = None  # -1: the base stores no A_jj
 
     @property
     def base(self) -> ColumnOracle:
@@ -196,10 +204,13 @@ class ShiftScaled(ColumnOracle):
             out[j] += self._b
             return None, out
         out = self._a * vals
-        pos = np.searchsorted(rows, j)
-        if pos < rows.size and rows[pos] == j:
+        if self._diag_pos is None:
+            self.prepare()
+        pos = self._diag_pos[j]
+        if pos >= 0:
             out[pos] += self._b
             return rows, out
+        pos = np.searchsorted(rows, j)
         rows = np.insert(rows, pos, j)
         out = np.insert(out, pos, self._b)
         return rows, out
@@ -209,6 +220,17 @@ class ShiftScaled(ColumnOracle):
 
     def prepare(self) -> None:
         self._base.prepare()
+        if self._diag_pos is not None:
+            return
+        pos = []
+        for j in range(self.dim):
+            rows, _ = self._base._column(j)
+            if rows is None:
+                pos.append(j)
+                continue
+            at = int(np.searchsorted(rows, j))
+            pos.append(at if at < rows.size and rows[at] == j else -1)
+        self._diag_pos = pos
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x

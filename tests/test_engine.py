@@ -50,6 +50,57 @@ class TestCubicSolver:
                 solve_cubic_min(CubicCoeffs(b[i], c[i], d[i])), abs=1e-12)
 
 
+def _polish(alpha, b, c, d):
+    for _ in range(2):
+        slope = c + alpha * (2.0 * b + 3.0 * alpha)
+        val = d + alpha * (c + alpha * (b + alpha))
+        alpha = alpha - np.divide(val, slope, out=np.zeros_like(alpha),
+                                  where=np.abs(slope) > 0)
+    return alpha
+
+
+def branchwise_cubic_min_roots(b, c, d):
+    """The kernel's arithmetic, each branch and each candidate root solved
+    and polished in its own pass."""
+    shift = b / 3.0
+    p = c - b * shift
+    q = shift * (2.0 * shift * shift - c) + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    out = np.empty_like(p)
+    one = disc > 0
+    s, half_q = np.sqrt(disc[one]), 0.5 * q[one]
+    out[one] = _polish(np.cbrt(-half_q + s) + np.cbrt(-half_q - s) - shift[one],
+                       b[one], c[one], d[one])
+    three = ~one
+    pm, qm, bm, cm, dm = p[three], q[three], b[three], c[three], d[three]
+    m = 2.0 * np.sqrt(np.maximum(-pm / 3.0, 0.0))
+    ratio = np.divide(3.0 * qm, pm * m, out=np.zeros_like(qm), where=pm * m != 0)
+    theta = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
+    r_hi = _polish(m * np.cos(theta) - shift[three], bm, cm, dm)
+    r_lo = _polish(m * np.cos(theta - 4.0 * np.pi / 3.0) - shift[three], bm, cm, dm)
+    out[three] = np.where(quartic_gain(r_hi, bm, cm, dm) < quartic_gain(r_lo, bm, cm, dm),
+                          r_hi, r_lo)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), wells=st.integers(0, 3),
+       special=st.lists(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300]),
+                        max_size=6))
+def test_stacked_kernel_matches_branchwise_solves(n, seed, wells, special):
+    rng = np.random.default_rng(seed)
+    b, c, d = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, n))
+    if n:
+        for value in special:
+            rng.choice([b, c, d])[rng.integers(0, n)] = value
+        for j in rng.integers(0, n, size=wells):  # symmetric double wells: exact ties
+            b[j], c[j], d[j] = 0.0, -rng.uniform(1e-3, 1e3), 0.0
+    with np.errstate(all="ignore"):
+        got = cubic_min_roots(b, c, d)
+        want = branchwise_cubic_min_roots(b, c, d)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestCoordCubic:
     def test_zero_iterate_diag(self):
         state = fresh_state(DenseSymmetric(np.array([[4.0]])), np.zeros(1))
@@ -368,6 +419,99 @@ def test_screened_sweep_exact_on_random_states(state):
         mp.setattr(engine, "SCREEN_MIN_DIM", 1)
         with np.errstate(all="ignore"):
             assert_sweep_is_exact(state)
+
+
+def exact_screen_survivors(state, bar):
+    """The coordinates the screen keeps at the state's own nu, without the
+    drift slack: ``key < bar`` with ``p > 0`` is the only way out."""
+    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    eta = engine.SCREEN_ETA
+    s = abs(nu) + np.max(np.abs(diag))
+    with np.errstate(all="ignore"):
+        p_lo = nu - eta * s - x * x - diag
+        w_hi = np.abs(nu * x - z - x ** 3) + eta * s ** 1.5
+        key = 2.0 * w_hi ** 2 / p_lo + x * x * (x * x + 3.0 * eta * s)
+        return np.flatnonzero(~((key < bar) & (p_lo > 0.0))), key
+
+
+def assert_candidates_cover_survivors(state):
+    _, key = exact_screen_survivors(state, 0.0)
+    finite = np.sort(key[np.isfinite(key)])
+    bars = [-np.inf, 0.0, np.inf] + finite[::max(1, finite.size // 16)].tolist()
+    for bar in bars:
+        candidates = np.flatnonzero(state._screen_cache.keys >= bar)
+        survivors, _ = exact_screen_survivors(state, bar)
+        assert np.setdiff1d(survivors, candidates).size == 0, bar
+
+
+def _nu_step(x_j, change):
+    """The move of a coordinate at x_j that changes nu = ||x||^2 by change."""
+    root = np.sqrt(x_j * x_j + change)
+    return (root if x_j >= 0 else -root) - x_j
+
+
+@st.composite
+def screen_moves(draw):
+    """Moves of a shifted Hubbard state: nu creeps inside the screen's
+    drift window or jumps out of it, up or down, among greedy, vector line
+    search and power steps and revalidations."""
+    moves = draw(st.lists(st.one_of(
+        st.tuples(st.just("creep"), st.integers(0, 10**6),
+                  st.floats(-0.3, 0.3, allow_nan=False)),
+        st.tuples(st.just("jump"), st.integers(0, 10**6), st.sampled_from([-2.5, 1.5, 3.0])),
+        st.tuples(st.sampled_from(["greedy", "greedy3", "vec_ls", "pm", "revalidate"]))),
+        min_size=1, max_size=12))
+    # nu crosses the threshold both ways in every example
+    return moves + [("creep", 0, 0.2), ("jump", 0, 2.0), ("creep", 0, -0.2),
+                    ("jump", 0, -2.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(moves=screen_moves())
+def test_cached_screen_exact_along_mixed_moves(moves):
+    oracle, x0 = _hubbard(3, 2, 2, 2, 100.0)
+    state = init_state(oracle, x0, rng=0)
+    greedy = StrategyConfig(pick="greedy_ls", update="coord_ls")
+    greedy3 = StrategyConfig(pick="greedy_ls", update="coord_ls", k=3, averaged=True)
+    vec_ls = StrategyConfig(pick="grad_power", update="vec_ls", k=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SCREEN_MIN_DIM", 1)
+        assert_sweep_is_exact(state)
+        for move in moves:
+            kind = move[0]
+            cache = state._screen_cache
+            if kind in ("creep", "jump"):
+                _, where, size = move
+                j = int(np.argmax(np.abs(state.x))) if size < 0 else where % state.dim
+                state.apply_coordinate_delta(j, float(_nu_step(state.x[j], size * cache.drift)))
+            elif kind == "greedy":
+                step(state, greedy)
+            elif kind == "greedy3":
+                step(state, greedy3)
+            elif kind == "vec_ls":
+                step(state, vec_ls)
+            elif kind == "pm":
+                power_method_step(state)
+            else:
+                state.revalidate()
+            if kind in ("vec_ls", "pm", "revalidate"):
+                assert state._screen_cache is None
+            elif state._screen_cache is not None:
+                assert len(state._screen_cache.dirty) > 0
+            kept = state._screen_cache is not None and abs(state.nu - cache.nu0) <= cache.drift
+            assert_sweep_is_exact(state)
+            assert (state._screen_cache is cache) == kept, kind
+            assert not state._screen_cache.dirty
+            assert_candidates_cover_survivors(state)
+
+
+def test_screen_cache_costs_other_picks_nothing(small_synthetic):
+    state = init_state(small_synthetic, np.eye(small_synthetic.dim)[0], rng=0)
+    for config in (StrategyConfig(pick="gauss_southwell", update="coord_ls"),
+                   StrategyConfig(pick="grad_power", update="coord_ls", k=2)):
+        for _ in range(5):
+            step(state, config)
+        assert state._screen_cache is None
 
 
 def sequential_pick(c, t, draws):

@@ -154,6 +154,41 @@ class TestAddColumnContract:
         rows, vals = shift_scale(base, 2.0, 3.0).column(5)
         assert vals[np.flatnonzero(rows == 5)].tolist() == [3.0]
 
+    def test_diagonal_positions_prepared_once_and_lazily(self):
+        base = _sparse_without_diagonal()
+        oracle = shift_scale(base, 2.0, 3.0)
+        assert oracle._diag_pos is None
+        oracle.column(0)  # the first sparse read prepares
+        positions = oracle._diag_pos
+        for j in range(base.dim):
+            rows, vals = base.column(j)
+            (at,) = np.flatnonzero(rows == j) if j in rows else (-1,)
+            assert positions[j] == at
+            # the search and insert the positions replace, written out
+            want_rows, want = rows, 2.0 * vals
+            pos = np.searchsorted(rows, j)
+            if at >= 0:
+                want[pos] += 3.0
+            else:
+                want_rows, want = np.insert(rows, pos, j), np.insert(want, pos, 3.0)
+            got_rows, got = oracle.column(j)
+            assert got_rows.tolist() == want_rows.tolist()
+            assert got.tobytes() == want.tobytes()
+        assert [j for j in range(base.dim) if positions[j] < 0] == [2, 5, 9]
+        before = oracle.access_count
+        oracle.prepare()
+        assert oracle._diag_pos is positions and oracle.access_count == before
+
+    def test_returns_the_rows_it_touched(self, contract_oracle):
+        out = np.zeros(contract_oracle.dim)
+        for j in range(contract_oracle.dim):
+            with contract_oracle.counting_paused():
+                rows, _ = contract_oracle.column(j)
+            touched = contract_oracle.add_column(j, 0.5, out)
+            assert (touched is None) == (rows is None)
+            if rows is not None:
+                assert touched.tolist() == rows.tolist()
+
     @pytest.mark.parametrize("coeff", [0.0, 1.0, -0.75])
     def test_charges_one_access_per_call(self, contract_oracle, coeff):
         out = np.zeros(contract_oracle.dim)
