@@ -250,6 +250,7 @@ def _run_one_method(oracle, name, args_like) -> StrategyConfig:
                           t=args_like.get("t"))
     if config.update == "fixed_grad" and config.gamma is None:
         config = dataclasses.replace(config, gamma=stepsize_bound(oracle)).validate()
+    config.columns_per_step(oracle.dim)  # refuses a batch the operator cannot supply
     return config
 
 

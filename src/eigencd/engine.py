@@ -10,7 +10,7 @@ Exact line search along coordinate j minimizes the quartic
 ``h(a) = f(x + a e_j)``, whose critical points are the real roots of the
 monic cubic ``a^3 + b a^2 + c a + d`` with
 
-    b = 3 x_j,  c = nu + 2 x_j^2 - A_jj,  d = nu x_j - z_j.
+    b = 3 x_j,  c = nu + 2 x_j^2 - A_jj,  d = nu x_j - z_j   (coord_coeffs).
 
 Substituting ``beta = x_j + a`` turns this into the depressed cubic
 ``beta^3 + p beta + q`` with ``p = nu - x_j^2 - A_jj`` and
@@ -141,7 +141,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import ColumnOracle, column_norm_max
+from .operators import ColumnOracle, column_norm_max, max_abs_diag
 
 _TWO_PI_3 = 2.0 * np.pi / 3.0
 
@@ -322,7 +322,7 @@ class SolverState:
     """
 
     __slots__ = ("oracle", "x", "z", "nu", "s", "ell", "rng",
-                 "_diag", "_applies", "_work", "_screen_cache")
+                 "_applies", "_work", "_screen_cache")
 
     def __init__(self, oracle: ColumnOracle, x: np.ndarray, z: np.ndarray,
                  rng: np.random.Generator):
@@ -333,7 +333,6 @@ class SolverState:
         self.s = float(x @ z)
         self.ell = 0
         self.rng = rng
-        self._diag = None
         self._applies = 0
         self._work = None
         self._screen_cache: _ScreenCache | None = None
@@ -341,12 +340,6 @@ class SolverState:
     @property
     def dim(self) -> int:
         return self.x.size
-
-    @property
-    def diag_vector(self) -> np.ndarray:
-        if self._diag is None:
-            self._diag = np.asarray(self.oracle.diag_vector(), dtype=float)
-        return self._diag
 
     def gradient_scores(self) -> np.ndarray:
         """Score vector ``c = nu * x - z``; the gradient is ``4 c``."""
@@ -378,10 +371,9 @@ class SolverState:
         xj_old = x[j]
         zj_old = self.z[j]
         rows = self.oracle.add_column(j, alpha, self.z)
-        ajj = self.oracle.diag(j)
         x[j] = xj_old + alpha
         self.nu += alpha * (2.0 * xj_old + alpha)
-        self.s += alpha * (2.0 * zj_old + alpha * ajj)
+        self.s += alpha * (2.0 * zj_old + alpha * self.oracle.diag(j))
         if self._screen_cache is not None:
             if rows is None:
                 self._screen_cache = None  # a dense column touches every row
@@ -439,8 +431,14 @@ class StrategyConfig:
         return self.pick != "grad_power"
 
     def columns_per_step(self, dim: int) -> int:
-        """Column accesses one iteration charges on an operator of order dim."""
-        return dim if self.pick in ("pm", "all") else self.k
+        """Column accesses one iteration charges on an operator of order dim;
+        refuses ``k > dim`` for a pick of k distinct coordinates."""
+        if self.pick in ("pm", "all"):
+            return dim
+        if self.k > dim and (self.pick == "greedy_ls" or not self.with_replacement):
+            raise ValueError(f"batch size k = {self.k} exceeds the operator order "
+                             f"n = {dim}; this pick needs k distinct coordinates")
+        return self.k
 
     def validate(self) -> "StrategyConfig":
         if self.pick not in self._PICKS:
@@ -579,14 +577,17 @@ def direction_cubic(nu: float, nv2: float, vtx: float, vtz: float,
     )
 
 
-def coord_cubic(state: SolverState, j: int) -> CubicCoeffs:
-    """Line-search cubic along coordinate j; O(1) given cached nu.
+def coord_coeffs(nu, x, z, diag):
+    """``(b, c, d)`` of the line-search cubic along e_j from ``x_j, z_j, A_jj``,
+    for floats or arrays: :func:`direction_cubic` at ``v = e_j``, bit for bit
+    (its divisions by 1.0 are exact)."""
+    return 3.0 * x, nu + 2.0 * x * x - diag, nu * x - z
 
-    The case ``v = e_j`` of :func:`direction_cubic`; its divisions by 1.0
-    are exact.
-    """
-    return direction_cubic(state.nu, 1.0, state.x[j], state.z[j],
-                           float(state.oracle.diag(j)))
+
+def coord_cubic(state: SolverState, j: int) -> CubicCoeffs:
+    """Line-search cubic along coordinate j; O(1) given cached nu."""
+    return CubicCoeffs(*coord_coeffs(state.nu, float(state.x[j]), float(state.z[j]),
+                                     state.oracle.diag(j)))
 
 
 class _ScreenCache:
@@ -600,7 +601,7 @@ class _ScreenCache:
         self.nu0 = state.nu
         self.drift = SCREEN_DRIFT * scale
         self.scale_hi = scale + self.drift  # s+: at least s in the window
-        self.keys = self.upper_keys(state.x, state.z, state.diag_vector)
+        self.keys = self.upper_keys(state.x, state.z, state.oracle.diagonal)
         self.dirty = []
         self.seeds = []
 
@@ -648,12 +649,12 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     best of the greedy sweep, or None when the state is out of the screen's
     range and every coordinate must be solved.  See the module docstring.
     """
-    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     cache = state._screen_cache
     seeds = set() if cache is None else set(cache.seeds)
     fresh = cache is None or not abs(nu - cache.nu0) <= cache.drift
     if fresh:
-        scale = abs(nu) + float(np.max(np.abs(diag)))
+        scale = abs(nu) + max_abs_diag(state.oracle)
         if not scale <= SCREEN_MAX_SCALE:
             state._screen_cache = None
             return None
@@ -668,8 +669,7 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
         seeds.update(_largest(state.abs_scores(x.size), k))
     gains, size = [], 0.0
     for j in seeds:
-        xj, zj, ajj = float(x[j]), float(z[j]), float(diag[j])
-        coeffs = CubicCoeffs(3.0 * xj, nu + 2.0 * xj * xj - ajj, nu * xj - zj)
+        coeffs = coord_cubic(state, j)
         alpha = solve_cubic_min(coeffs)
         gains.append(delta_f(alpha, coeffs))
         size = max(size, _quartic_gain(abs(alpha), *map(abs, coeffs)))
@@ -696,15 +696,11 @@ def pick_greedy_ls_batch(state: SolverState, k: int) -> tuple[np.ndarray, np.nda
     Screened-out coordinates are provably not among them, so the result is
     the full sweep's bit for bit.
     """
-    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     rows = _screen(state, k) if k < x.size and x.size >= SCREEN_MIN_DIM else None
     if rows is not None:
         x, z, diag = x[rows], z[rows], diag[rows]
-    # coord_cubic for every coordinate at once, written out: routing it
-    # through direction_cubic adds 3 array passes per call
-    b = 3.0 * x
-    c = nu + 2.0 * x * x - diag
-    d = nu * x - z
+    b, c, d = coord_coeffs(nu, x, z, diag)
     alphas = cubic_min_roots(b, c, d)
     gains = _quartic_gain(alphas, b, c, d)
     if k == 1:

@@ -50,9 +50,16 @@ class ReferenceSolution:
     source: str
 
     def __post_init__(self):
-        if self.lambda1 <= self.lambda2:
+        gap, bound = self.lambda1 - self.lambda2, _resolution(self.lambda1)
+        if not gap > bound:
             raise ValueError(
-                f"leading eigenvalue must be simple: {self.lambda1} <= {self.lambda2}")
+                f"leading eigenvalue must be simple: lambda1 - lambda2 = {self.lambda1!r} - "
+                f"{self.lambda2!r} = {gap:.3g} is within the reference's resolution {bound:.3g}")
+
+
+def _resolution(lam1: float) -> float:
+    """Eigenvalue resolution of a reference: the residual it accepts."""
+    return 1e-8 * max(1.0, abs(lam1))
 
 
 def _lanczos_extreme(matvec, v0: np.ndarray, *,
@@ -136,7 +143,7 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
                                    ortho_against=(v1,))
         source = "lanczos"
     resid = np.linalg.norm(oracle.matvec(v1) - lam1 * v1)
-    if resid > 1e-8 * max(1.0, abs(lam1)):
+    if resid > _resolution(lam1):
         raise ReferenceFailure(f"reference residual {resid:.3e} too large")
     return ReferenceSolution(lambda1=lam1, v1=v1, lambda2=lam2,
                              fstar=frob_sq - lam1 * lam1, frob_sq=frob_sq,
@@ -242,8 +249,11 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     def gap() -> float:
         return lam1 * lam1 - 2.0 * state.s + state.nu * state.nu
 
+    def objective() -> float:
+        return frob_sq - 2.0 * state.s + state.nu * state.nu
+
     def record():
-        f_val = frob_sq - 2.0 * state.s + state.nu * state.nu
+        f_val = objective()
         if sparse_ref is not None:
             energy = (state.z[sparse_ref] / state.x[sparse_ref]
                       if state.x[sparse_ref] != 0.0 else math.nan)
@@ -261,7 +271,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
 
     record()
     best_gap = gap()
-    best_f = frob_sq - 2.0 * state.s + state.nu * state.nu
+    best_f = objective()
     checks_since_best = 0
     status = "budget"
     while True:
@@ -273,7 +283,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         if accesses + k_per_step > max_col_access:
             status = "budget"
             break
-        f_val = frob_sq - 2.0 * state.s + state.nu * state.nu
+        f_val = objective()
         f_floor = max(best_f, 1e-9 * max(frob_sq, 1.0))
         if not math.isfinite(f_val) or f_val > DIVERGENCE_FACTOR * f_floor:
             status = "diverged"

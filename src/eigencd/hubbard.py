@@ -358,10 +358,7 @@ class HubbardOracle(ColumnOracle):
         lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
         return self._csc.indices[lo:hi], self._csc.data[lo:hi]
 
-    def diag(self, j: int) -> float:
-        return float(self.basis.diagonal[j])
-
-    def diag_vector(self) -> np.ndarray:
+    def _diagonal(self) -> np.ndarray:
         return self.basis.diagonal
 
     @property
@@ -434,14 +431,13 @@ def sector_info(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> SectorI
     """Structural summary used by ``eigencd hubbard info``."""
     oracle = HubbardOracle(spec, max_dim=max_dim)
     nnz = oracle.nnz_per_column()
-    diag = oracle.basis.diagonal
     return SectorInfo(
         dim=oracle.dim,
         sector_momentum=oracle.basis.sector_momentum,
         nnz_min=int(nnz.min()),
         nnz_median=int(np.median(nnz)),
         nnz_max=int(nnz.max()),
-        diag_min=float(diag.min()),
-        diag_max=float(diag.max()),
+        diag_min=float(oracle.diagonal.min()),
+        diag_max=float(oracle.diagonal.max()),
         hf_index=oracle.hf_index,
     )

@@ -4,7 +4,8 @@ Every solver in this package touches the matrix exclusively through single
 columns, and the number of column evaluations is the hardware-independent
 cost unit the benchmark harness reports.  Setup work (norm surveys,
 reference eigenpairs, sparse assembly) runs with counting paused so it never
-pollutes a solver budget.
+pollutes a solver budget.  The diagonal is the one other fact a solver
+reads; each oracle states it once, as a vector, and reading it is free.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +26,10 @@ class ColumnOracle(ABC):
     ``column(j)`` returns ``(rows, values)``; ``rows`` of ``None`` means the
     values cover every row (dense column).  Sparse implementations return
     row indices sorted ascending.  Each ``column`` call increments the
-    access counter by exactly one; ``diag`` reads are free.  Returned
-    arrays may be views and must not be modified by callers; solvers add
-    columns into vectors through :meth:`add_column` only.
+    access counter by exactly one; diagonal reads are free.  A subclass
+    states its diagonal once, in :meth:`_diagonal`.  Returned arrays may be
+    views and must not be modified by callers; solvers add columns into
+    vectors through :meth:`add_column` only.
     """
 
     def __init__(self, dim: int):
@@ -85,8 +88,17 @@ class ColumnOracle(ABC):
         """Raw column evaluation, no accounting."""
 
     @abstractmethod
+    def _diagonal(self) -> np.ndarray:
+        """The vector of diagonal entries ``A[j, j]``, no accounting."""
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """``A[j, j]`` for every j, computed once; never counted."""
+        return self._diagonal()
+
     def diag(self, j: int) -> float:
         """Diagonal entry ``A[j, j]``; never counted."""
+        return float(self.diagonal[j])
 
     def prepare(self) -> None:
         """Optional expensive setup (e.g. sparse assembly); uncounted."""
@@ -97,9 +109,6 @@ class ColumnOracle(ABC):
 
         Solvers must not call this; they pay per column instead.
         """
-
-    def diag_vector(self) -> np.ndarray:
-        return np.array([self.diag(j) for j in range(self._dim)])
 
 
 class DenseSymmetric(ColumnOracle):
@@ -120,8 +129,8 @@ class DenseSymmetric(ColumnOracle):
         # symmetric: row j is column j, and rows are contiguous in C order
         return None, self._a[j]
 
-    def diag(self, j: int) -> float:
-        return float(self._a[j, j])
+    def _diagonal(self) -> np.ndarray:
+        return self._a.diagonal()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a @ x
@@ -181,9 +190,9 @@ def build_synthetic(spec: SpectrumSpec) -> DenseSymmetric:
 class ShiftScaled(ColumnOracle):
     """Lazy ``a * M + b * I`` over a wrapped oracle.
 
-    :meth:`prepare` records where each sparse base column stores its
-    diagonal entry, so a column adds the shift without a search; the first
-    sparse column read prepares when nothing has.
+    The first read of a column records where the base column stores its
+    diagonal entry (j for a dense column, -1 when it stores none), so later
+    reads add the shift without a search.
     """
 
     def __init__(self, base: ColumnOracle, a: float, b: float):
@@ -191,7 +200,7 @@ class ShiftScaled(ColumnOracle):
         self._base = base
         self._a = float(a)
         self._b = float(b)
-        self._diag_pos: list[int] | None = None  # -1: the base stores no A_jj
+        self._diag_pos: list[int | None] = [None] * base.dim  # None: not yet read
 
     @property
     def base(self) -> ColumnOracle:
@@ -199,38 +208,25 @@ class ShiftScaled(ColumnOracle):
 
     def _column(self, j: int) -> Column:
         rows, vals = self._base._column(j)
-        if rows is None:
-            out = self._a * vals
-            out[j] += self._b
-            return None, out
         out = self._a * vals
-        if self._diag_pos is None:
-            self.prepare()
         pos = self._diag_pos[j]
+        if pos is None:  # first read: a dense column holds A_jj at j
+            pos = j
+            if rows is not None:
+                at = int(np.searchsorted(rows, j))
+                pos = at if at < rows.size and rows[at] == j else -1
+            self._diag_pos[j] = pos
         if pos >= 0:
             out[pos] += self._b
             return rows, out
-        pos = np.searchsorted(rows, j)
-        rows = np.insert(rows, pos, j)
-        out = np.insert(out, pos, self._b)
-        return rows, out
+        at = np.searchsorted(rows, j)
+        return np.insert(rows, at, j), np.insert(out, at, self._b)
 
-    def diag(self, j: int) -> float:
-        return self._a * self._base.diag(j) + self._b
+    def _diagonal(self) -> np.ndarray:
+        return self._a * self._base.diagonal + self._b
 
     def prepare(self) -> None:
         self._base.prepare()
-        if self._diag_pos is not None:
-            return
-        pos = []
-        for j in range(self.dim):
-            rows, _ = self._base._column(j)
-            if rows is None:
-                pos.append(j)
-                continue
-            at = int(np.searchsorted(rows, j))
-            pos.append(at if at < rows.size and rows[at] == j else -1)
-        self._diag_pos = pos
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x
@@ -264,7 +260,7 @@ def column_abs_sum_max(oracle: ColumnOracle) -> float:
 
 
 def max_abs_diag(oracle: ColumnOracle) -> float:
-    return max(abs(oracle.diag(j)) for j in range(oracle.dim))
+    return float(np.max(np.abs(oracle.diagonal)))
 
 
 def save_dense(path, oracle_or_array) -> None:

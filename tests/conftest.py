@@ -63,6 +63,14 @@ def random_assumption1_matrix(n: int, seed: int) -> np.ndarray:
     return a
 
 
+def double_top(n: int, seed: int = 0) -> DenseSymmetric:
+    """``Q diag(8, 8, linspace(4, 0.2, n - 2)) Q^T``: a doubled leading
+    eigenvalue that rounding splits by a few ulps."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return DenseSymmetric((q * np.r_[8.0, 8.0, np.linspace(4.0, 0.2, n - 2)]) @ q.T)
+
+
 def scores_state(c: np.ndarray, seed: int = 0) -> SolverState:
     """State whose gradient scores equal ``c`` exactly (x = 0, z = -c)."""
     n = c.size

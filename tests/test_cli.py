@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from eigencd import cli
 from eigencd.cli import (UsageError, main, parse_hubbard, parse_method,
                          parse_synthetic, parse_x0)
 from eigencd.operators import DenseSymmetric, load_dense, save_dense
+
+from conftest import double_top
 
 
 class TestParseMethod:
@@ -267,6 +270,37 @@ class TestCommands:
                                     "methods": [{"name": "PM"}]}))
         assert main(["bench", "--config", str(path)]) == 2
         assert "rank one" in capsys.readouterr().err
+
+    def test_degenerate_leading_eigenvalue_refused(self, tmp_path, capsys):
+        path = tmp_path / "double.txt"
+        save_dense(path, double_top(20))
+        assert main(["solve", "--matrix", str(path), "--method", "GCD-LS-LS"]) == 2
+        assert "is within the reference's resolution" in capsys.readouterr().err
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"matrix": str(path), "methods": [{"name": "PM"}]}))
+        assert main(["bench", "--config", str(bench)]) == 2
+        assert "is within the reference's resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,extra", [
+        ("GCD-LS-LS", ["--averaged", "true"]),
+        ("SCD-Grad-LS", ["--replacement", "false"]),
+        ("SCD-Uni-LS", ["--replacement", "false"]),
+    ])
+    def test_distinct_batch_above_the_order_refused(self, method, extra, tmp_path,
+                                                    monkeypatch, capsys):
+        def no_reference(oracle):
+            raise AssertionError("the reference ran before the refusal")
+
+        monkeypatch.setattr(cli, "compute_reference", no_reference)
+        message = "batch size k = 30 exceeds the operator order n = 20"
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", method,
+                     "--k", "30", *extra]) == 2
+        assert message in capsys.readouterr().err
+        entry = {"name": method, "k": 30, extra[0][2:]: extra[1] == "true"}
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=1,hi=4", "methods": [entry]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_bench_config(self, tmp_path, capsys):
         cfg = {

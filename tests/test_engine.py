@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from eigencd import engine, harness
 from eigencd.cli import METHOD_TABLE, parse_method
 from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
-                            StrategyConfig, coord_cubic, cubic_min_roots,
-                            delta_f, init_state, pick_cyclic,
+                            StrategyConfig, coord_coeffs, coord_cubic,
+                            cubic_min_roots, delta_f, direction_cubic,
+                            init_state, pick_cyclic,
                             pick_gauss_southwell, pick_grad_power,
                             pick_greedy_ls, pick_greedy_ls_batch,
                             power_method_step, solve_cubic_min, step,
@@ -129,6 +130,24 @@ class TestCoordCubic:
         state = fresh_state(small_synthetic, x)
         for j in (0, 11, 29):
             assert abs(coord_cubic(state, j).d) < 1e-10
+
+
+# Inputs take infinities and one NaN payload: where two NaN payloads meet in
+# a commutative operation, numpy's array loops may keep either one.
+ANY_FLOAT = st.floats(allow_nan=False) | st.just(np.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=ANY_FLOAT, values=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+                                     min_size=1, max_size=8))
+def test_coord_coeffs_is_the_direction_cubic_along_e_j(nu, values):
+    x, z, diag = (np.array(v) for v in zip(*values))
+    with np.errstate(all="ignore"):
+        swept = np.array(coord_coeffs(nu, x, z, diag))
+        for j in range(x.size):
+            want = np.array(direction_cubic(nu, 1.0, x[j], z[j], diag[j]))
+            scalar = np.array(coord_coeffs(nu, float(x[j]), float(z[j]), float(diag[j])))
+            assert swept[:, j].tobytes() == want.tobytes() == scalar.tobytes()
 
 
 class TestDeltaF:
@@ -309,7 +328,7 @@ def closed_form_sweep(state, k):
     """Every coordinate's closed form, ranked by (gain, index)."""
     x, z, nu = state.x, state.z, state.nu
     b = 3.0 * x
-    c = nu + 2.0 * x * x - state.diag_vector
+    c = nu + 2.0 * x * x - state.oracle.diagonal
     d = nu * x - z
     alphas = cubic_min_roots(b, c, d)
     gains = quartic_gain(alphas, b, c, d)
@@ -424,7 +443,7 @@ def test_screened_sweep_exact_on_random_states(state):
 def exact_screen_survivors(state, bar):
     """The coordinates the screen keeps at the state's own nu, without the
     drift slack: ``key < bar`` with ``p > 0`` is the only way out."""
-    x, z, nu, diag = state.x, state.z, state.nu, state.diag_vector
+    x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     eta = engine.SCREEN_ETA
     s = abs(nu) + np.max(np.abs(diag))
     with np.errstate(all="ignore"):

@@ -14,6 +14,8 @@ from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
                                shift_scale)
 
+from conftest import double_top
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -83,6 +85,13 @@ class TestReference:
             ReferenceSolution(lambda1=2.0, v1=np.array([1.0]), lambda2=2.0,
                               fstar=1.0, frob_sq=5.0, source="dense")
 
+    @pytest.mark.parametrize("n,cutoff", [(20, 2000), (60, 10)])
+    def test_rejects_a_gap_within_its_resolution(self, n, cutoff, monkeypatch):
+        # rounding splits the doubled eigenvalue by a few ulps on either route
+        monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", cutoff)
+        with pytest.raises(ValueError, match=r"lambda1 - lambda2 = .* resolution 8e-08"):
+            compute_reference(double_top(n))
+
 
 class TestMetrics:
     def test_eps_obj_floor_and_unit(self):
@@ -143,6 +152,25 @@ class TestRunExperiment:
         assert out.col_accesses <= budget + 1
         cols = [rec.col_access for rec in out.trace]
         assert cols == sorted(cols)
+
+    def test_batch_above_the_order_charges_k_with_replacement(self, instance):
+        a, ref = instance
+        x0 = np.zeros(120)
+        x0[0] = 1.0
+        config = StrategyConfig(pick="grad_power", update="coord_ls", k=150, averaged=True)
+        out = run_single(a, config, x0, 1e-12, 1 + 150 * 7, 0, ref)
+        assert out.status == "budget" and out.iterations == 7
+        assert out.col_accesses == 1 + 150 * 7
+
+    @pytest.mark.parametrize("config", [
+        StrategyConfig(pick="greedy_ls", update="coord_ls", k=121, averaged=True),
+        StrategyConfig(pick="grad_power", update="coord_ls", k=121, with_replacement=False),
+        StrategyConfig(pick="grad_power", update="vec_ls", t=0.0, k=121,
+                       with_replacement=False)])
+    def test_distinct_batch_above_the_order_refused(self, instance, config):
+        a, ref = instance
+        with pytest.raises(ValueError, match="k = 121 exceeds the operator order n = 120"):
+            run_experiment(a, config, np.ones(120), 1e-6, 10**6, seeds=2, reference=ref)
 
     def test_identical_seed_identical_trace(self, instance):
         a, ref = instance

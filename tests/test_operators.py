@@ -147,6 +147,7 @@ class TestAddColumnContract:
                     (pos,) = np.flatnonzero(rows == j)
                     stored = vals[pos]
                 assert contract_oracle.diag(j) == stored
+                assert contract_oracle.diagonal[j] == stored
 
     def test_no_diagonal_entry_takes_the_insert_path(self):
         base = _sparse_without_diagonal()
@@ -154,14 +155,16 @@ class TestAddColumnContract:
         rows, vals = shift_scale(base, 2.0, 3.0).column(5)
         assert vals[np.flatnonzero(rows == 5)].tolist() == [3.0]
 
-    def test_diagonal_positions_prepared_once_and_lazily(self):
+    def test_diagonal_positions_found_on_first_read(self):
         base = _sparse_without_diagonal()
         oracle = shift_scale(base, 2.0, 3.0)
-        assert oracle._diag_pos is None
-        oracle.column(0)  # the first sparse read prepares
+        oracle.prepare()
         positions = oracle._diag_pos
+        assert positions == [None] * base.dim
         for j in range(base.dim):
-            rows, vals = base.column(j)
+            first = oracle.column(j)
+            assert positions[j + 1:] == [None] * (base.dim - j - 1)
+            rows, vals = base._column(j)
             (at,) = np.flatnonzero(rows == j) if j in rows else (-1,)
             assert positions[j] == at
             # the search and insert the positions replace, written out
@@ -171,13 +174,11 @@ class TestAddColumnContract:
                 want[pos] += 3.0
             else:
                 want_rows, want = np.insert(rows, pos, j), np.insert(want, pos, 3.0)
-            got_rows, got = oracle.column(j)
-            assert got_rows.tolist() == want_rows.tolist()
-            assert got.tobytes() == want.tobytes()
+            for got_rows, got in (first, oracle.column(j)):  # found, then reused
+                assert got_rows.tolist() == want_rows.tolist()
+                assert got.tobytes() == want.tobytes()
         assert [j for j in range(base.dim) if positions[j] < 0] == [2, 5, 9]
-        before = oracle.access_count
-        oracle.prepare()
-        assert oracle._diag_pos is positions and oracle.access_count == before
+        assert oracle.access_count == 2 * base.dim and base.access_count == 0
 
     def test_returns_the_rows_it_touched(self, contract_oracle):
         out = np.zeros(contract_oracle.dim)
