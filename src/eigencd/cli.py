@@ -69,43 +69,49 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
     return config
 
 
-def _parse_kv(spec: str, what: str) -> dict[str, str]:
-    out = {}
+def _number(text: str, kind: type, where: str):
+    """``kind(text)``, refused as a usage error naming ``where`` and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{where} must be {_KIND_NAMES[kind]}, got {text!r}") from None
+
+
+def _build_spec(spec: str, what: str, keys, build):
+    """``build(*values)`` from the ``key=value`` pairs of ``spec``, one value
+    for each ``(key, kind, default)`` of ``keys`` (a None default marks a
+    required key); every refusal names the spec."""
+    kv = {}
     for part in spec.split(","):
         if not part:
             continue
         key, sep, value = part.partition("=")
         if not sep:
             raise UsageError(f"bad {what} spec {spec!r}: expected key=value pairs")
-        out[key.strip()] = value.strip()
-    return out
+        kv[key.strip()] = value.strip()
+    required = [key for key, _, default in keys if default is None]
+    if not kv.keys() >= set(required):
+        raise UsageError(f"{what} spec needs {'=, '.join(required)}=: {spec!r}")
+    values = [_number(kv.pop(key, default), kind, f"{what} spec {spec!r}: {key}")
+              for key, kind, default in keys]
+    if kv:
+        raise UsageError(f"unknown {what} keys {sorted(kv)}")
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise UsageError(f"{what} spec {spec!r}: {exc}") from None
 
 
 def parse_synthetic(spec: str) -> SpectrumSpec:
-    kv = _parse_kv(spec, "synthetic")
-    try:
-        n = int(kv.pop("n"))
-        lam1 = float(kv.pop("l1"))
-    except KeyError as exc:
-        raise UsageError(f"synthetic spec needs n= and l1=: {spec!r}") from exc
-    low = float(kv.pop("lo", 1.0))
-    high = float(kv.pop("hi", 100.0))
-    seed = int(kv.pop("seed", 0))
-    if kv:
-        raise UsageError(f"unknown synthetic keys {sorted(kv)}")
-    return SpectrumSpec.gapped_grid(n, lam1, low, high, seed=seed)
+    keys = (("n", int, None), ("l1", float, None), ("lo", float, "1.0"),
+            ("hi", float, "100.0"), ("seed", int, "0"))
+    return _build_spec(spec, "synthetic", keys, SpectrumSpec.gapped_grid)
 
 
 def parse_hubbard(spec: str) -> LatticeSpec:
-    kv = _parse_kv(spec, "hubbard")
-    try:
-        return LatticeSpec(
-            l1=int(kv.pop("l1")), l2=int(kv.pop("l2")),
-            n_up=int(kv.pop("nup")), n_down=int(kv.pop("ndown")),
-            t_hop=float(kv.pop("t", 1.0)), u=float(kv.pop("u", 4.0)),
-        )
-    except KeyError as exc:
-        raise UsageError(f"hubbard spec needs l1=, l2=, nup=, ndown=: {spec!r}") from exc
+    keys = (("l1", int, None), ("l2", int, None), ("nup", int, None),
+            ("ndown", int, None), ("t", float, "1.0"), ("u", float, "4.0"))
+    return _build_spec(spec, "hubbard", keys, LatticeSpec)
 
 
 def _build_oracle(args) -> tuple[ColumnOracle, str]:
@@ -141,7 +147,7 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
     else:
         x0 = np.zeros(oracle.dim)
         body, _, amp_str = spec.partition(":")
-        amp = float(amp_str) if amp_str else 1.0
+        amp = _number(amp_str, float, f"x0 {spec!r}: amplitude") if amp_str else 1.0
         if body == "hf":
             base = oracle
             while not isinstance(base, HubbardOracle):
@@ -150,7 +156,7 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
                     raise UsageError("x0=hf needs a hubbard matrix source")
             x0[base.hf_index] = amp
         elif body.startswith("e"):
-            idx = int(body[1:]) - 1  # e1 is the first coordinate
+            idx = _number(body[1:], int, f"x0 {spec!r}: coordinate") - 1  # e1 is the first
             if not 0 <= idx < oracle.dim:
                 raise UsageError(f"x0 index {body} out of range")
             x0[idx] = amp
@@ -219,7 +225,7 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", list: "a list"}
 
 # the keys of a bench method entry, with the type JSON must give each
@@ -238,7 +244,7 @@ def _config_value(section: dict, key: str, kind: type, default=None, *,
         value = float(value)
     # bool is an int subclass, but true is not a count
     if type(value) is not kind:
-        raise UsageError(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise UsageError(f"{where}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 

@@ -23,18 +23,18 @@ quartic value with ties to the smaller root realizes that rule exactly.
 
 The greedy sweep (GCD-LS-LS) needs the best of these line searches over all
 n coordinates, and solves only the cubics of coordinates that can still win.
-In the depressed variable the objective along coordinate j is
-``g_j(beta) = beta^4 + 2 p_j beta^2 + 4 q_j beta`` plus a constant, and the
-gain of the line search is ``min g_j - g_j(x_j)``.  When ``p_j > 0``,
-dropping ``beta^4`` only lowers g, so ``min g_j >= -2 q_j^2 / p_j`` and
+The gain along coordinate j, ``h_j(a) = f(x + a e_j) - f(x)``, has
+``h_j'(0) = 4 d_j`` and ``h_j''(a) = 4 (p_j + 3 (x_j + a)^2) >= 4 p_j``.
+When ``p_j > 0``, h_j is 4 p_j-strongly convex, so
+``h_j(a) >= 4 d_j a + 2 p_j a^2`` and
 
-    gain_j >= -(2 w_j^2 / p_j + x_j^4),   w_j = q_j + p_j x_j = d_j - x_j^3.
+    gain_j >= -key_j,   key_j = 2 d_j^2 / p_j.
 
-The key of that bound is ``key_j = 2 w_j^2 / p_j + x_j^4``.  Each sweep
-has an incumbent ``G``: the k-th best exact gain of a few seed coordinates,
-from the scalar twin :func:`solve_cubic_min` at the current state (any exact
-gain is a valid incumbent).  Coordinate j can still be among the k best only
-when ``key_j >= -G``, up to the margin below, or when ``p_j <= 0``.
+Each sweep has an incumbent ``G``: the k-th best exact gain of a few seed
+coordinates, from the scalar twin :func:`solve_cubic_min` at the current
+state (any exact gain is a valid incumbent).  Coordinate j can still be
+among the k best only when ``key_j >= -G``, up to the margin below, or when
+``p_j <= 0``.
 
 The keys are cached on the state as upper keys ``U_j``, computed at a
 reference ``nu0`` and valid for every ``nu`` with ``|nu - nu0| <= Delta``,
@@ -42,14 +42,14 @@ reference ``nu0`` and valid for every ``nu`` with ``|nu - nu0| <= Delta``,
 ``x_j, z_j, A_jj``, a move of nu by at most Delta
 
 * lowers ``p_j = nu - x_j^2 - A_jj`` by at most Delta;
-* raises ``|w_j| = |nu x_j - z_j - x_j^3|`` by at most ``Delta |x_j|``;
+* raises ``|d_j| = |nu x_j - z_j|`` by at most ``Delta |x_j|``;
 * raises ``s = |nu| + max_j |A_jj|`` by at most Delta, to at most
   ``s+ = s0 + Delta``.
 
-Since ``2 w^2 / p`` grows with ``|w|`` and falls with ``p > 0``,
+Since ``2 d^2 / p`` grows with ``|d|`` and falls with ``p > 0``,
 
-    U_j = 2 (|w_j(nu0)| + Delta |x_j| + eta s+^1.5)^2 / p_lo_j
-          + x_j^2 (x_j^2 + 3 eta s+),   p_lo_j = p_j(nu0) - Delta - eta s+,
+    U_j = 2 (|d_j(nu0)| + Delta |x_j| + eta s+^1.5)^2 / p_lo_j,
+    p_lo_j = p_j(nu0) - Delta - eta s+,
 
 bounds ``key_j`` with its margins at every nu of the window, and U_j is set
 to inf where ``p_lo_j <= 0`` or U_j is NaN (NaN and inf in x or z land
@@ -76,17 +76,23 @@ largest finite U and the one with the largest gradient ``|d_j|`` (the k of
 each).
 
 The margin covers rounding, with ``s = |nu| + max_j |A_jj|`` (so that
-``x_j^2 <= s`` wherever ``p_j > 0``) and ``eta = 2^-36``, about 1e5 times
-the unit roundoff.  U_j carries it with ``s+ >= s``, so each term is at
-least the one stated here:
+``x_j^2 <= s`` and ``p_j <= s`` wherever ``p_j > 0``) and ``eta = 2^-36``,
+about 1e5 times the unit roundoff u.  U_j carries it with ``s+ >= s``, so
+each term is at least the one stated here:
 
-* ``p_j`` is lowered by ``eta s`` and ``|w_j|`` raised by ``eta s^1.5``,
-  which bound their distance from the depressed coefficients of the sweep's
-  own rounded ``b, c, d`` (a few ulps of ``|nu| + x_j^2 + |A_jj|`` and of
-  ``|x_j|^3``);
-* ``key_j`` adds ``3 eta s x_j^2``, which bounds the rounding of
-  ``_quartic_gain`` at that coordinate's root (its terms are at most a small
-  multiple of the bound's terms, ``G`` and ``s x_j^2``);
+* ``p_j`` is lowered by ``eta s`` and ``|d_j|`` raised by ``eta s^1.5``,
+  which bound their distance from ``c - b^2 / 3`` and d of the sweep's own
+  rounded ``b, c, d`` (a few ulps of ``|nu| + x_j^2 + |A_jj|`` and of
+  ``|nu x_j| <= s^1.5``); the rounded cubic's key is then at most U_j.
+* The rounding of ``_quartic_gain`` needs no term of its own.  For the
+  rounded cubic, ``h = 4 d a + 2 p a^2 + R`` with ``R = 6 x^2 a^2 + 4 x a^3
+  + a^4 = a^2 ((a + 2x)^2 + 2 x^2)``, so ``R >= 2 x^2 a^2`` and
+  ``R >= a^4 / 3``, and Horner's terms sum to at most
+  ``4 |d a| + 13 (2 p a^2 + R) <= 13 h + 56 |d a|``.  Where
+  ``|a| <= 3 |d| / p`` its rounding, about 10u of that sum, is at most
+  ``840 u key``; elsewhere ``h >= 2 |d a|`` outweighs it.  So the computed
+  gain at any a is at least ``-(1 + 840 u) key``, and lowering ``p_j`` by
+  ``eta s >= eta p`` scales U_j up by at least ``1 + eta``.
 * ``bar = -G - eta (2 |G| + S)``, where S is the seeds' largest
   ``_quartic_gain`` term sum, covers the rounding of the seeds' gains and any
   difference between the scalar and the vector closed forms.
@@ -609,30 +615,24 @@ class _ScreenCache:
         """U of each coordinate given by ``x, z, diag``; inf where its
         depressed coefficient p may reach 0 or U is NaN."""
         nu0, drift, s_hi, eta = self.nu0, self.drift, self.scale_hi, SCREEN_ETA
-        # U = 2 (|nu0 x - z - x^3| + drift |x| + eta s+^1.5)^2
-        #       / (nu0 - drift - eta s+ - x^2 - diag) + x^2 (x^2 + 3 eta s+),
+        # U = 2 (|nu0 x - z| + drift |x| + eta s+^1.5)^2
+        #       / (nu0 - drift - eta s+ - x^2 - diag),
         # in place where possible: each fresh n-array costs its page faults
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x2 = x * x
-            p_lo = np.subtract(nu0 - drift - eta * s_hi, x2)
+            p_lo = x * x
+            np.subtract(nu0 - drift - eta * s_hi, p_lo, out=p_lo)
             p_lo -= diag
-            key = x2 * x
-            w = nu0 * x
-            w -= z
-            np.subtract(w, key, out=key)
+            key = nu0 * x
+            key -= z
             np.abs(key, out=key)
-            np.abs(x, out=w)
-            w *= drift
-            key += w
+            slack = np.abs(x)
+            slack *= drift
+            key += slack
             key += eta * s_hi ** 1.5
             key *= key
             key += key
             key /= p_lo
-            x4 = x2 + 3.0 * eta * s_hi
-            x4 *= x2
-            key += x4
-            unsafe = p_lo > 0.0
-            np.logical_not(unsafe, out=unsafe)
+            unsafe = p_lo <= 0.0  # a NaN p_lo makes key NaN
             unsafe |= np.isnan(key)
             key[unsafe] = np.inf
         return key

@@ -76,6 +76,9 @@ class LatticeSpec:
         if not 0 <= self.n_up <= self.n_orb or not 0 <= self.n_down <= self.n_orb:
             raise ValueError(
                 f"electron counts {self.n_up}+{self.n_down} exceed {self.n_orb} orbitals")
+        for name in ("t_hop", "u"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
 
     @property
     def n_orb(self) -> int:

@@ -152,6 +152,10 @@ class SpectrumSpec:
         object.__setattr__(self, "eigenvalues", lam)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d sequence")
+        bad = np.flatnonzero(~np.isfinite(lam))
+        if bad.size:
+            raise ValueError(f"eigenvalues must be finite, got {lam[bad[0]]} "
+                             f"as eigenvalue {bad[0] + 1}")
         if lam[0] <= 0:
             raise ValueError(f"leading eigenvalue must be positive, got {lam[0]}")
         if np.any(np.diff(lam) > 0):
@@ -174,6 +178,9 @@ class SpectrumSpec:
         """
         if n < 2:
             raise ValueError("gapped_grid needs n >= 2")
+        if not np.isfinite([lam1, low, high]).all():
+            raise ValueError(f"gapped_grid needs finite values, got lam1={lam1}, "
+                             f"low={low}, high={high}")
         tail = high - (high - low) * np.arange(1, n) / (n - 1)
         return cls(eigenvalues=np.concatenate(([lam1], tail)), seed=seed)
 

@@ -203,6 +203,14 @@ class TestCommands:
          "fixed_grad update needs a finite stepsize gamma > 0, got inf"),
         (["--method", "GCD-LS-LS", "--shift", "nan"], "shift must be a finite number, got nan"),
         (["--method", "GCD-LS-LS", "--scale", "inf"], "scale must be a finite number, got inf"),
+        (["--method", "GCD-LS-LS", "--synthetic", "n=20,l1=nan"],
+         "synthetic spec 'n=20,l1=nan': gapped_grid needs finite values, got lam1=nan"),
+        (["--method", "GCD-LS-LS", "--synthetic", "n=20,l1=inf"],
+         "synthetic spec 'n=20,l1=inf': gapped_grid needs finite values, got lam1=inf"),
+        (["--method", "GCD-LS-LS", "--synthetic", "n=20,l1=5,lo=nan,hi=4"],
+         "gapped_grid needs finite values, got lam1=5.0, low=nan, high=4.0"),
+        (["--method", "GCD-LS-LS", "--synthetic", "n=20,l1=108,hi=inf"],
+         "gapped_grid needs finite values, got lam1=108.0, low=1.0, high=inf"),
     ])
     def test_non_finite_run_value_refused(self, args, message, capsys):
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--seeds", "2",
@@ -218,6 +226,10 @@ class TestCommands:
          "fixed_grad update needs a finite stepsize gamma > 0, got nan"),
         ({}, {"name": "SCD-Grad-LS", "t": float("nan")},
          "sampling power t must be finite and >= 0, got nan"),
+        ({"synthetic": "n=10,l1=nan"}, {"name": "GCD-LS-LS"},
+         "synthetic spec 'n=10,l1=nan': gapped_grid needs finite values, got lam1=nan"),
+        ({"hubbard": "l1=2,l2=2,nup=1,ndown=1,u=inf", "synthetic": None}, {"name": "PM"},
+         "hubbard spec 'l1=2,l2=2,nup=1,ndown=1,u=inf': u must be a finite number, got inf"),
     ])
     def test_bench_non_finite_value_refused(self, source, method, message, tmp_path, capsys):
         path = tmp_path / "bench.json"
@@ -226,6 +238,41 @@ class TestCommands:
         assert main(["bench", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1", "--u", "nan"],
+         "u must be a finite number, got nan"),
+        (["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1", "--t=-inf"],
+         "t_hop must be a finite number, got -inf"),
+        (["solve", "--hubbard", "l1=4,l2=2,nup=2,ndown=2,t=nan", "--method", "GCD-LS-LS"],
+         "hubbard spec 'l1=4,l2=2,nup=2,ndown=2,t=nan': t_hop must be a finite number, got nan"),
+        (["solve", "--hubbard", "l1=4,l2=x,nup=2,ndown=2", "--method", "GCD-LS-LS"],
+         "hubbard spec 'l1=4,l2=x,nup=2,ndown=2': l2 must be an integer, got 'x'"),
+        (["solve", "--hubbard", "l1=4,l2=2,nup=2,ndown=2,U=8", "--method", "GCD-LS-LS"],
+         "unknown hubbard keys ['U']"),
+        (["solve", "--synthetic", "n=abc,l1=5", "--method", "GCD-LS-LS"],
+         "synthetic spec 'n=abc,l1=5': n must be an integer, got 'abc'"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4,seed=1.5", "--method", "GCD-LS-LS"],
+         "synthetic spec 'n=20,l1=5,lo=1,hi=4,seed=1.5': seed must be an integer, got '1.5'"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS", "--x0", "e"],
+         "x0 'e': coordinate must be an integer, got ''"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS",
+          "--x0", "e1:abc"], "x0 'e1:abc': amplitude must be a number, got 'abc'"),
+    ], ids=["info-u-nan", "info-t-inf", "hubbard-t-nan", "hubbard-l2-x", "hubbard-unknown-key",
+            "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude"])
+    def test_bad_spec_value_refused(self, argv, message, monkeypatch, capsys):
+        def no_reference(oracle):
+            raise AssertionError("the reference ran before the refusal")
+
+        monkeypatch.setattr(cli, "compute_reference", no_reference)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_gen_non_finite_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        assert main(["gen", "--synthetic", "n=5,l1=nan", "--out", str(path)]) == 2
+        assert "gapped_grid needs finite values, got lam1=nan" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_fixed_step_defaults_to_the_safe_bound(self, capsys):
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eigencd import engine, harness
 from eigencd.cli import METHOD_TABLE, parse_method
@@ -15,7 +15,7 @@ from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
 from eigencd.harness import compute_reference
 from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
-                               shift_scale)
+                               max_abs_diag, shift_scale)
 
 from conftest import (dense_objective, fresh_state, grid_newton_min,
                       quartic_gain, scores_state)
@@ -398,10 +398,12 @@ def test_screened_sweep_exact_above_the_floor():
 def sweep_states(draw):
     """Localized states: mostly x_j = 0, some p_j < 0, exact duplicates,
     near-ties a few ulps apart (some with tight bounds, p_j >> q_j^(2/3)),
-    and NaN/inf entries; the seeded draws keep examples cheap."""
+    thin curvature ``0 < p_j << x_j^2``, scales from 1e-6 to 1e4 and NaN/inf
+    entries; the seeded draws keep examples cheap."""
     n = draw(st.integers(4, 48))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([1e-6, 1.0, 1e4]))
+    scale = draw(st.one_of(st.sampled_from([1e-6, 1.0, 1e4]),
+                           st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)))
     x = np.zeros(n)
     support = rng.choice(n, size=draw(st.integers(0, max(1, n // 4))), replace=False)
     x[support] = rng.standard_normal(support.size) * draw(st.sampled_from([1e-3, 1.0, 3.0]))
@@ -415,6 +417,9 @@ def sweep_states(draw):
         nu = float(x @ x)
         diag[block] = nu - 1e6
         z[block] = 1.0
+    if draw(st.booleans()):  # thin curvature: p_j = x_j^2 10^-(2..12)
+        thin = np.flatnonzero(x)
+        diag[thin] = nu - x[thin] ** 2 * (1.0 + 10.0 ** -rng.uniform(2.0, 12.0, thin.size))
     for _ in range(draw(st.integers(0, 6))):  # duplicates and near-ties
         src, dst = rng.integers(0, n, size=2)
         x[dst], z[dst], diag[dst] = x[src], z[src], diag[src]
@@ -440,6 +445,22 @@ def test_screened_sweep_exact_on_random_states(state):
             assert_sweep_is_exact(state)
 
 
+@settings(max_examples=300, deadline=None)
+@given(state=sweep_states())
+def test_screen_key_bounds_every_computed_gain(state):
+    """Without the drift slack, ``-U_j`` is below the sweep's own computed
+    gain wherever U_j is finite: the margins cover every rounding."""
+    scale = abs(state.nu) + max_abs_diag(state.oracle)
+    assume(scale <= engine.SCREEN_MAX_SCALE)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(engine, "SCREEN_DRIFT", 0.0)
+        keys = engine._ScreenCache(state, scale).keys
+        b, c, d = coord_coeffs(state.nu, state.x, state.z, state.oracle.diagonal)
+        gains = engine._quartic_gain(cubic_min_roots(b, c, d), b, c, d)
+    finite = np.isfinite(keys)
+    assert np.all(gains[finite] >= -keys[finite])
+
+
 def exact_screen_survivors(state, bar):
     """The coordinates the screen keeps at the state's own nu, without the
     drift slack: ``key < bar`` with ``p > 0`` is the only way out."""
@@ -448,8 +469,8 @@ def exact_screen_survivors(state, bar):
     s = abs(nu) + np.max(np.abs(diag))
     with np.errstate(all="ignore"):
         p_lo = nu - eta * s - x * x - diag
-        w_hi = np.abs(nu * x - z - x ** 3) + eta * s ** 1.5
-        key = 2.0 * w_hi ** 2 / p_lo + x * x * (x * x + 3.0 * eta * s)
+        d_hi = np.abs(nu * x - z) + eta * s ** 1.5
+        key = 2.0 * d_hi ** 2 / p_lo
         return np.flatnonzero(~((key < bar) & (p_lo > 0.0))), key
 
 

@@ -129,6 +129,12 @@ class TestSectorEnumeration:
         assert np.abs(h - h.T).max() == 0.0
         assert oracle.basis.state(oracle.hf_index) == hf_determinant(oracle.spec)
 
+    @pytest.mark.parametrize("field", ["t_hop", "u"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number, got {value}"):
+            LatticeSpec(l1=2, l2=2, n_up=1, n_down=1, **{field: value})
+
     def test_too_many_orbitals_refused(self):
         with pytest.raises(ValueError, match="36 orbitals"):
             LatticeSpec(l1=6, l2=6, n_up=1, n_down=1)

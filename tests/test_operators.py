@@ -41,6 +41,12 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec(eigenvalues=np.array([2.0, 2.0, 1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match=f"eigenvalues must be finite, got {value} "
+                                             "as eigenvalue 2"):
+            SpectrumSpec(eigenvalues=np.array([3.0, value, 1.0]))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             SpectrumSpec(eigenvalues=np.array([3.0, 1.0, 2.0]))
