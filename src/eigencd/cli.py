@@ -20,8 +20,8 @@ from .engine import StrategyConfig, stepsize_bound
 from .harness import (AllSeedsFailed, ReferenceFailure, ReferenceSolution,
                       compute_reference, emit_trace, run_experiment)
 from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge, sector_info
-from .operators import (ColumnOracle, SpectrumSpec, build_synthetic,
-                        load_dense, save_dense, shift_scale)
+from .operators import (ColumnOracle, SpectrumSpec, build_synthetic, load_dense,
+                        parse_floats, parse_number, save_dense, shift_scale)
 
 METHOD_TABLE = {
     "CD-Cyc-Grad": ("cyclic", "fixed_grad", None),
@@ -69,14 +69,6 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
     return config
 
 
-def _number(text: str, kind: type, where: str):
-    """``kind(text)``, refused as a usage error naming ``where`` and the text."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise UsageError(f"{where} must be {_KIND_NAMES[kind]}, got {text!r}") from None
-
-
 def _build_spec(spec: str, what: str, keys, build):
     """``build(*values)`` from the ``key=value`` pairs of ``spec``, one value
     for each ``(key, kind, default)`` of ``keys`` (a None default marks a
@@ -92,7 +84,7 @@ def _build_spec(spec: str, what: str, keys, build):
     required = [key for key, _, default in keys if default is None]
     if not kv.keys() >= set(required):
         raise UsageError(f"{what} spec needs {'=, '.join(required)}=: {spec!r}")
-    values = [_number(kv.pop(key, default), kind, f"{what} spec {spec!r}: {key}")
+    values = [parse_number(kv.pop(key, default), kind, f"{what} spec {spec!r}: {key}")
               for key, kind, default in keys]
     if kv:
         raise UsageError(f"unknown {what} keys {sorted(kv)}")
@@ -141,13 +133,15 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
     if spec == "default":
         spec = "hf:10" if kind == "hubbard" else "e1"
     if spec.startswith("file:"):
-        x0 = np.loadtxt(spec[5:]).astype(float)
+        path = spec[5:]
+        with open(path) as fh:
+            x0 = parse_floats(fh.read().split(), f"{path}: entry")
         if x0.shape != (oracle.dim,):
             raise UsageError(f"x0 file has shape {x0.shape}, expected ({oracle.dim},)")
     else:
         x0 = np.zeros(oracle.dim)
         body, _, amp_str = spec.partition(":")
-        amp = _number(amp_str, float, f"x0 {spec!r}: amplitude") if amp_str else 1.0
+        amp = parse_number(amp_str, float, f"x0 {spec!r}: amplitude") if amp_str else 1.0
         if body == "hf":
             base = oracle
             while not isinstance(base, HubbardOracle):
@@ -156,7 +150,7 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
                     raise UsageError("x0=hf needs a hubbard matrix source")
             x0[base.hf_index] = amp
         elif body.startswith("e"):
-            idx = _number(body[1:], int, f"x0 {spec!r}: coordinate") - 1  # e1 is the first
+            idx = parse_number(body[1:], int, f"x0 {spec!r}: coordinate") - 1  # e1 is the first
             if not 0 <= idx < oracle.dim:
                 raise UsageError(f"x0 index {body} out of range")
             x0[idx] = amp
@@ -408,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--ndown", type=int, required=True)
     p_info.add_argument("--t", type=float, default=1.0)
     p_info.add_argument("--u", type=float, default=4.0)
-    p_info.add_argument("--max-dim", type=int, default=5_000_000)
+    p_info.add_argument("--max-dim", type=_positive_int, default=5_000_000)
     p_info.set_defaults(func=cmd_hubbard_info)
 
     p_verify = sub.add_parser("verify", help="run the invariant self-checks")

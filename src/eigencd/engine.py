@@ -220,8 +220,8 @@ def _quartic_gain(alpha, b, c, d):
     return alpha * (4.0 * d + alpha * (2.0 * c + alpha * (4.0 / 3.0 * b + alpha)))
 
 
-def _newton_polish(alpha, b, c, d, iterations=2):
-    for _ in range(iterations):
+def _newton_polish(alpha, b, c, d):
+    for _ in range(2):
         slope = c + alpha * (2.0 * b + 3.0 * alpha)
         val = _cubic_value(alpha, b, c, d)
         step = np.divide(val, slope, out=np.zeros_like(alpha),
@@ -347,13 +347,12 @@ class SolverState:
     def dim(self) -> int:
         return self.x.size
 
-    def gradient_scores(self) -> np.ndarray:
-        """Score vector ``c = nu * x - z``; the gradient is ``4 c``."""
-        return self.nu * self.x - self.z
-
-    def abs_scores(self, size: int) -> np.ndarray:
-        """``|c|`` in the head of a reused work buffer of ``size >= n``
-        entries whose tail stays zero; valid until the next call."""
+    def abs_scores(self) -> np.ndarray:
+        """``|c|``, ``c = nu x - z`` (the gradient is ``4 c``), in the head of
+        a reused work buffer zero-padded to whole blocks of
+        :data:`SAMPLE_BLOCK`; slice ``[:n]`` for the scores alone.  Valid
+        until the next call."""
+        size = -(-self.dim // SAMPLE_BLOCK) * SAMPLE_BLOCK
         buf = self._work
         if buf is None or buf.size != size:
             buf = self._work = np.zeros(size)
@@ -478,8 +477,7 @@ def pick_cyclic(state: SolverState) -> int:
 
 def pick_gauss_southwell(state: SolverState) -> int:
     """Largest gradient magnitude, ties to the lowest index."""
-    n = state.dim
-    return int(np.argmax(state.abs_scores(n)[:n]))
+    return int(np.argmax(state.abs_scores()[:state.dim]))
 
 
 def _certified_draws(values: np.ndarray, scale: float,
@@ -534,7 +532,7 @@ def pick_grad_power(state: SolverState, t: float, k: int = 1,
         if with_replacement:
             return rng.integers(0, n, size=k)
         return rng.choice(n, size=k, replace=False)
-    padded = state.abs_scores(-(-n // SAMPLE_BLOCK) * SAMPLE_BLOCK)
+    padded = state.abs_scores()
     top = np.maximum.reduce(padded[:n])
     if top == 0.0 or not np.isfinite(top):
         raise StationaryIterate("gradient scores all zero")
@@ -543,10 +541,7 @@ def pick_grad_power(state: SolverState, t: float, k: int = 1,
         values, scale = padded, top
     else:
         values = padded / top  # normalized before powering to dodge overflow
-        if t == 2:
-            values *= values
-        else:
-            values **= t
+        values **= t
         scale = 1.0
     if with_replacement:
         draws = rng.random(k)
@@ -666,7 +661,7 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     keys = cache.keys
     if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
         seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
-        seeds.update(_largest(state.abs_scores(x.size), k))
+        seeds.update(_largest(state.abs_scores()[:x.size], k))
     gains, size = [], 0.0
     for j in seeds:
         coeffs = coord_cubic(state, j)
@@ -680,21 +675,13 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     return np.flatnonzero(keys >= bar)
 
 
-def pick_greedy_ls(state: SolverState) -> tuple[int, float]:
-    """Exact line search along every coordinate; best objective drop wins.
+def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Exact line search along every coordinate; the k largest objective
+    drops win, as ``(rows, alphas)`` ordered by (gain, index).
 
     One O(n) screened sweep over cached quantities and the diagonal; no
-    column accesses.  Ties break to the lowest index.
-    """
-    rows, alphas = pick_greedy_ls_batch(state, 1)
-    return int(rows[0]), float(alphas[0])
-
-
-def pick_greedy_ls_batch(state: SolverState, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k coordinates of the greedy sweep ordered by (gain, index).
-
-    Screened-out coordinates are provably not among them, so the result is
-    the full sweep's bit for bit.
+    column accesses.  Screened-out coordinates are provably not among the
+    winners, so the result is the full sweep's bit for bit.
     """
     x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     rows = _screen(state, k) if k < x.size and x.size >= SCREEN_MIN_DIM else None
@@ -747,17 +734,14 @@ def vec_ls_alpha(state: SolverState, omega) -> float:
 
 
 def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> None:
-    uniq = np.unique(sampled)
+    uniq, counts = np.unique(sampled, return_counts=True)
     alpha, v, w = _vec_ls_direction(state, uniq)
     state.x[uniq] += alpha * v
     state.z += alpha * w
     state.revalidate()
-    if sampled.size > uniq.size:
-        # duplicates sampled with replacement still cost their column access
-        counts = np.bincount(sampled)
-        for j in np.flatnonzero(counts > 1):
-            for _ in range(int(counts[j]) - 1):
-                state.oracle.column(int(j))
+    # duplicates sampled with replacement still cost their column access
+    for j in np.repeat(uniq, counts - 1):
+        state.oracle.column(int(j))
 
 
 def step(state: SolverState, config: StrategyConfig) -> None:
@@ -772,7 +756,6 @@ def step(state: SolverState, config: StrategyConfig) -> None:
     if config.pick == "pm":
         power_method_step(state)
         return
-    k = config.k
     if config.pick == "cyclic":
         indices = np.array([pick_cyclic(state)])
     elif config.pick == "gauss_southwell":
@@ -780,28 +763,21 @@ def step(state: SolverState, config: StrategyConfig) -> None:
     elif config.pick == "all":
         indices = np.arange(state.dim)
     elif config.pick == "greedy_ls":
-        if k == 1:
-            j, alpha = pick_greedy_ls(state)
-            indices = np.array([j])
-            greedy_alphas = np.array([alpha])
-        else:
-            indices, greedy_alphas = pick_greedy_ls_batch(state, k)
+        indices, deltas = pick_greedy_ls(state, config.k)
     else:
-        indices = pick_grad_power(state, config.t, k, config.with_replacement)
+        indices = pick_grad_power(state, config.t, config.k, config.with_replacement)
 
     if config.update == "vec_ls":
         _apply_vec_ls(state, indices)
         state.ell += 1
         return
 
-    if config.pick == "greedy_ls":
-        deltas = greedy_alphas
-    elif config.update == "coord_ls":
-        deltas = np.array([solve_cubic_min(coord_cubic(state, int(j)))
-                           for j in indices])
-    else:
+    if config.update == "fixed_grad":
         c = state.nu * state.x[indices] - state.z[indices]
         deltas = -config.gamma * 4.0 * c
+    elif config.pick != "greedy_ls":  # the greedy sweep returned its line searches
+        deltas = np.array([solve_cubic_min(coord_cubic(state, int(j)))
+                           for j in indices])
     if config.averaged and indices.size > 1:
         deltas = deltas / indices.size
     for j, delta in zip(indices, deltas):

@@ -297,12 +297,11 @@ def _column_counts(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) ->
     return 1 + (up_ok.sum(axis=1) * dn_ok.sum(axis=1)).sum(axis=1)
 
 
-def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int,
-                   hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns ``lo .. hi-1`` of H as ``(counts, rows, vals)``.
+def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) -> Column:
+    """Columns ``lo .. hi-1`` of H as ``(rows, vals)``.
 
-    Column ``lo + b`` holds the next ``counts[b]`` entries of ``rows`` and
-    ``vals``, ascending by row.  Off-diagonal entries come from the moves
+    Column ``lo + b`` holds the next :func:`_column_counts` entries of
+    ``rows`` and ``vals``, ascending by row.  Off-diagonal entries come from the moves
     ``p -> p - q`` (up) with ``k -> k + q`` (down), ``q != 0``, formed for the
     whole block as one array over (column, p, k, q).
     """
@@ -310,7 +309,7 @@ def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int,
     diag = basis.diagonal[lo:hi]
     amp = spec.u / n_orb
     if amp == 0.0:
-        return np.ones(hi - lo, dtype=np.int64), np.arange(lo, hi), diag.copy()
+        return np.arange(lo, hi), diag.copy()
     (up_new, up_par, up_ok), (dn_new, dn_par, dn_ok) = _block_moves(spec, basis, lo, hi)
     ok = up_ok[:, :, None, :] & dn_ok[:, None, :, :]
     counts = ok.sum(axis=(1, 2, 3)) + 1
@@ -329,29 +328,28 @@ def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int,
     if not np.array_equal(basis.keys.take(rows, mode="clip"), keys):
         raise KeyError("a Hamiltonian move left the basis: is it a whole momentum sector?")
     by_col = np.argsort(col_of[by_key], kind="stable")
-    return counts, rows[by_col], vals[by_key[by_col]]
+    return rows[by_col], vals[by_key[by_col]]
 
 
 def hamiltonian_column(spec: LatticeSpec, basis: MomentumBasis, j: int) -> Column:
     """Sparse column ``H[:, j]`` as (row indices ascending, values)."""
     if not 0 <= j < basis.dim:
         raise IndexError(f"state index {j} out of range for dim {basis.dim}")
-    _, rows, vals = _column_kernel(spec, basis, j, j + 1)
-    return rows, vals
+    return _column_kernel(spec, basis, j, j + 1)
 
 
 class HubbardOracle(ColumnOracle):
     """Column oracle over the HF momentum sector of a lattice spec.
 
     Columns are slices of the CSC matrix that :meth:`prepare` assembles; the
-    first column, product or sparsity read assembles it.  Assembly changes
-    cost only, never accounting: every ``column`` call counts.
+    first column or product assembles it, while :meth:`nnz_per_column`
+    counts entries without it.  Assembly changes cost only, never
+    accounting: every ``column`` call counts.
     """
 
-    def __init__(self, spec: LatticeSpec, basis: MomentumBasis | None = None,
-                 max_dim: int = DEFAULT_SECTOR_CAP):
+    def __init__(self, spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP):
         self.spec = spec
-        self.basis = basis if basis is not None else enumerate_sector(spec, max_dim)
+        self.basis = enumerate_sector(spec, max_dim)
         super().__init__(self.basis.dim)
         self._csc: sp.csc_matrix | None = None
 
@@ -371,34 +369,38 @@ class HubbardOracle(ColumnOracle):
     def prepare(self) -> None:
         """Assemble the sector into CSC sparse form, block by block (uncounted).
 
-        A first sweep counts each column's entries, which fixes ``indptr``;
-        the block kernel then writes each block's sorted entries straight
-        into the final index and value arrays, so no block outlives its copy.
+        The column counts of :meth:`nnz_per_column` fix ``indptr``; the
+        block kernel then writes each block's sorted entries straight into
+        the final index and value arrays, so no block outlives its copy.
         """
         if self._csc is not None:
             return
-        spec, basis = self.spec, self.basis
-        dim = basis.dim
-        blocks = [(lo, min(lo + _BLOCK_COLUMNS, dim)) for lo in range(0, dim, _BLOCK_COLUMNS)]
+        dim = self.dim
         indptr = np.zeros(dim + 1, dtype=np.int64)
-        for lo, hi in blocks:
-            indptr[lo + 1:hi + 1] = _column_counts(spec, basis, lo, hi)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(self.nnz_per_column(), out=indptr[1:])
         index_dtype = np.int32 if dim < 2**31 else np.int64
         rows = np.empty(indptr[-1], dtype=index_dtype)
         data = np.empty(indptr[-1])
-        for lo, hi in blocks:
-            _, rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
-                _column_kernel(spec, basis, lo, hi)
+        for lo, hi in self._blocks():
+            rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
+                _column_kernel(self.spec, self.basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
+
+    def _blocks(self) -> list[tuple[int, int]]:
+        dim = self.dim
+        return [(lo, min(lo + _BLOCK_COLUMNS, dim)) for lo in range(0, dim, _BLOCK_COLUMNS)]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         self.prepare()
         return self._csc @ x
 
     def nnz_per_column(self) -> np.ndarray:
-        self.prepare()
-        return np.diff(self._csc.indptr)
+        """Entries per column: read from the CSC once it exists, otherwise
+        counted block by block without forming any entry."""
+        if self._csc is not None:
+            return np.diff(self._csc.indptr)
+        return np.concatenate([_column_counts(self.spec, self.basis, lo, hi)
+                               for lo, hi in self._blocks()])
 
 
 def ground_state_reference(spec: LatticeSpec, oracle: HubbardOracle | None = None,

@@ -280,14 +280,35 @@ def save_dense(path, oracle_or_array) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def parse_number(text: str, kind: type, where: str):
+    """``kind(text)`` for ``kind`` int or float, refused with a message
+    naming ``where`` and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where} must be {noun}, got {text!r}") from None
+
+
+def parse_floats(tokens: list[str], where: str) -> np.ndarray:
+    """``tokens`` as floats; the first non-number is refused as by
+    :func:`parse_number`."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        for text in tokens:
+            parse_number(text, float, where)
+        raise
+
+
 def load_dense(path) -> DenseSymmetric:
     """Read the text format written by :func:`save_dense`."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
-    n = int(tokens[0])
-    body = np.array(tokens[1:], dtype=float)
+    n = parse_number(tokens[0], int, f"{path}: size")
+    body = parse_floats(tokens[1:], f"{path}: entry")
     if body.size != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {body.size}")
     a = body.reshape(n, n)

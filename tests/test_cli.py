@@ -122,6 +122,13 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--seeds: expected a positive integer" in capsys.readouterr().err
 
+    def test_hubbard_info_negative_max_dim_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1",
+                  "--max-dim", "-1"])
+        assert exc.value.code == 2
+        assert "--max-dim: expected a positive integer, got '-1'" in capsys.readouterr().err
+
     def test_bench_zero_seeds_refused(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", "seeds": 0,
@@ -258,14 +265,24 @@ class TestCommands:
          "x0 'e': coordinate must be an integer, got ''"),
         (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS",
           "--x0", "e1:abc"], "x0 'e1:abc': amplitude must be a number, got 'abc'"),
+        (["solve", "--synthetic", "n=2,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS",
+          "--x0", "file:{tmp}/x0.txt"], "x0.txt: entry must be a number, got 'abc'"),
+        (["solve", "--matrix", "{tmp}/entry.txt", "--method", "GCD-LS-LS"],
+         "entry.txt: entry must be a number, got 'x'"),
+        (["solve", "--matrix", "{tmp}/size.txt", "--method", "GCD-LS-LS"],
+         "size.txt: size must be an integer, got 'x'"),
     ], ids=["info-u-nan", "info-t-inf", "hubbard-t-nan", "hubbard-l2-x", "hubbard-unknown-key",
-            "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude"])
-    def test_bad_spec_value_refused(self, argv, message, monkeypatch, capsys):
+            "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude",
+            "x0-file-abc", "matrix-entry-x", "matrix-size-x"])
+    def test_bad_spec_value_refused(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_reference(oracle):
             raise AssertionError("the reference ran before the refusal")
 
+        (tmp_path / "x0.txt").write_text("1\nabc\n")
+        (tmp_path / "entry.txt").write_text("2\n1.0 x\nx 3.0\n")
+        (tmp_path / "size.txt").write_text("x\n1.0\n")
         monkeypatch.setattr(cli, "compute_reference", no_reference)
-        assert main(argv) == 2
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         assert message in capsys.readouterr().err
 
     def test_gen_non_finite_refused(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
                             cubic_min_roots, delta_f, direction_cubic,
                             init_state, pick_cyclic,
                             pick_gauss_southwell, pick_grad_power,
-                            pick_greedy_ls, pick_greedy_ls_batch,
+                            pick_greedy_ls,
                             power_method_step, solve_cubic_min, step,
                             stepsize_bound, vec_ls_alpha)
 from eigencd.harness import compute_reference
@@ -290,7 +290,7 @@ class TestGreedySweep:
     def test_matches_two_coordinate_brute_force(self):
         a = DenseSymmetric(np.diag([3.0, 1.0]))
         state = fresh_state(a, np.array([1.0, 1.0]))
-        j, alpha = pick_greedy_ls(state)
+        (j,), (alpha,) = pick_greedy_ls(state)
         best = None
         for jj in range(2):
             coeffs = coord_cubic(state, jj)
@@ -304,7 +304,7 @@ class TestGreedySweep:
     def test_stationary_returns_zero(self, small_synthetic):
         vals, vecs = np.linalg.eigh(small_synthetic.array)
         state = fresh_state(small_synthetic, np.sqrt(vals[-1]) * vecs[:, -1])
-        j, alpha = pick_greedy_ls(state)
+        (j,), (alpha,) = pick_greedy_ls(state)
         assert j == 0
         assert abs(alpha) < 1e-7
 
@@ -317,7 +317,7 @@ class TestGreedySweep:
         lam, v = vals[eligible[-1]], vecs[:, eligible[-1]]
         saddle = np.sqrt(lam) * v
         state = fresh_state(small_synthetic, saddle)
-        j, alpha = pick_greedy_ls(state)
+        (j,), (alpha,) = pick_greedy_ls(state)
         coeffs = coord_cubic(state, j)
         assert delta_f(alpha, coeffs) < 0.0
         state.apply_coordinate_delta(j, alpha)
@@ -340,10 +340,9 @@ def closed_form_sweep(state, k):
 
 
 def assert_sweep_is_exact(state):
-    j, alpha = pick_greedy_ls(state)
-    assert ([j], np.array([alpha]).tobytes()) == closed_form_sweep(state, 1)
-    rows, alphas = pick_greedy_ls_batch(state, 3)
-    assert (rows.tolist(), alphas.tobytes()) == closed_form_sweep(state, 3)
+    for k in (1, 3):
+        rows, alphas = pick_greedy_ls(state, k)
+        assert (rows.tolist(), alphas.tobytes()) == closed_form_sweep(state, k)
 
 
 @pytest.fixture
@@ -666,12 +665,13 @@ def test_certified_front_decides_uniform_draws(t):
         assert picks.tolist() == sequential_pick(c, t, draws).tolist()
 
 
-def test_sampled_run_matches_sequential_pick(monkeypatch):
-    """A whole SCD-Grad-LS(1) run with the front forced on ends where a run
+@pytest.mark.parametrize("method", ["SCD-Grad-LS(1)", "SCD-Grad-LS(2)"])
+def test_sampled_run_matches_sequential_pick(monkeypatch, method):
+    """A whole SCD-Grad-LS run with the front forced on ends where a run
     drawing with the sequential cumsum ends: iterations, nu and generator."""
     oracle, x0 = _hubbard(4, 2, 2, 2, 100.0)
     reference = compute_reference(oracle)
-    config = parse_method("SCD-Grad-LS(1)")
+    config = parse_method(method)
     states = []
 
     def capture(*args, **kwargs):
@@ -784,7 +784,7 @@ class TestStep:
         state = fresh_state(small_synthetic,
                             np.random.default_rng(19).standard_normal(30), seed=19)
         for _ in range(100):
-            c = state.gradient_scores()
+            c = state.nu * state.x - state.z
             applied.clear()
             step(state, config)
             assert len(applied) == k

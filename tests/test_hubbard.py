@@ -4,10 +4,10 @@ import pytest
 from eigencd import harness, hubbard
 from eigencd.harness import DENSE_REFERENCE_CUTOFF, compute_reference
 from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
-                             LatticeSpec, MomentumBasis, SectorTooLarge,
-                             dispersion, enumerate_sector,
+                             LatticeSpec, MomentumBasis, SectorInfo,
+                             SectorTooLarge, dispersion, enumerate_sector,
                              ground_state_reference, hamiltonian_column,
-                             hf_determinant, sector_dimension)
+                             hf_determinant, sector_dimension, sector_info)
 from eigencd.operators import shift_scale
 
 
@@ -20,6 +20,10 @@ def spec44():
 def small_oracle():
     # 2x2 lattice, half filling: tiny sector, dense cross-checks feasible
     return HubbardOracle(LatticeSpec(l1=2, l2=2, n_up=2, n_down=2))
+
+
+def refuse_assembly(*args):
+    raise AssertionError("the sector was assembled")
 
 
 def dense_sector_matrix(oracle):
@@ -256,6 +260,32 @@ class TestOracle:
         monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", dense_cutoff)
         compute_reference(shift_scale(oracle, -1.0, 100.0))
         assert blocks == [(0, 256), (256, 336)]
+
+    @pytest.mark.parametrize("u", [4.0, 0.0])
+    def test_nnz_per_column_counts_without_assembly(self, monkeypatch, u):
+        spec = LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5, u=u)
+        oracle = HubbardOracle(spec)
+        with monkeypatch.context() as mp:
+            mp.setattr(hubbard, "_column_kernel", refuse_assembly)
+            counted = oracle.nnz_per_column()
+        assert oracle._csc is None
+        expected = [hamiltonian_column(spec, oracle.basis, j)[0].size for j in range(oracle.dim)]
+        assert counted.tolist() == expected
+        oracle.prepare()
+        assert oracle.nnz_per_column().tolist() == expected
+
+    def test_sector_info_builds_no_csc(self, monkeypatch):
+        spec = LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5)
+        oracle = HubbardOracle(spec)
+        oracle.prepare()
+        nnz = np.diff(oracle._csc.indptr)
+        monkeypatch.setattr(hubbard, "_column_kernel", refuse_assembly)
+        monkeypatch.setattr(HubbardOracle, "prepare", refuse_assembly)
+        assert sector_info(spec) == SectorInfo(
+            dim=oracle.dim, sector_momentum=oracle.basis.sector_momentum,
+            nnz_min=int(nnz.min()), nnz_median=int(np.median(nnz)),
+            nnz_max=int(nnz.max()), diag_min=float(oracle.diagonal.min()),
+            diag_max=float(oracle.diagonal.max()), hf_index=oracle.hf_index)
 
 
 class TestGroundState:
