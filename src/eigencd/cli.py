@@ -3,33 +3,37 @@
 Method names follow the three-part convention <type>-<pick>-<update> with an
 optional sampling-power suffix, e.g. ``SCD-Grad-LS(1)``.  Matrix sources are
 a dense text file, a synthetic spectrum spec, or a Hubbard lattice spec; a
-shift/scale wrapper can be layered on any of them.
+shift/scale wrapper can be layered on any of them.  ``solve`` is a one-method
+``bench``: both commands read one table of run options through one loader.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import verify as verify_mod
 from .engine import StrategyConfig, stepsize_bound
-from .harness import (AllSeedsFailed, ReferenceFailure, ReferenceSolution,
+from .harness import (AllSeedsFailed, ReferenceFailure, ReferenceSolution, _slug,
                       compute_reference, emit_trace, run_experiment)
 from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge, sector_info
 from .operators import (ColumnOracle, SpectrumSpec, build_synthetic, load_dense,
                         parse_floats, parse_number, save_dense, shift_scale)
 
+# name -> (pick, update, the sampling power the name fixes: Uni is t = 0)
 METHOD_TABLE = {
     "CD-Cyc-Grad": ("cyclic", "fixed_grad", None),
     "CD-Cyc-LS": ("cyclic", "coord_ls", None),
     "GCD-Grad-LS": ("gauss_southwell", "coord_ls", None),
     "GCD-LS-LS": ("greedy_ls", "coord_ls", None),
-    "SCD-Grad-LS": ("grad_power", "coord_ls", 1.0),
-    "SCD-Grad-vecLS": ("grad_power", "vec_ls", 1.0),
+    "SCD-Grad-LS": ("grad_power", "coord_ls", None),
+    "SCD-Grad-vecLS": ("grad_power", "vec_ls", None),
     "SCD-Uni-LS": ("grad_power", "coord_ls", 0.0),
     "SCD-Uni-Grad": ("grad_power", "fixed_grad", 0.0),
     "Grad-vecLS": ("all", "vec_ls", None),
@@ -44,7 +48,8 @@ class UsageError(ValueError):
 def parse_method(name: str, k: int = 1, gamma: float | None = None,
                  with_replacement: bool = True, averaged: bool = False,
                  t: float | None = None) -> StrategyConfig:
-    """Map a conventional method name to a strategy configuration."""
+    """Map a conventional method name to a strategy configuration; refuses an
+    option the method never reads and a ``t`` that contradicts the name."""
     base = name.strip()
     suffix_t = None
     if base.endswith(")") and "(" in base:
@@ -56,13 +61,21 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
     if base not in METHOD_TABLE:
         known = ", ".join(sorted(METHOD_TABLE))
         raise UsageError(f"unknown method {name!r}; supported: {known}")
-    pick, update, default_t = METHOD_TABLE[base]
-    if suffix_t is not None and pick != "grad_power":
-        raise UsageError(f"{base} does not take a sampling power")
-    t_eff = suffix_t if suffix_t is not None else (
-        t if t is not None else (default_t if default_t is not None else 1.0))
-    config = StrategyConfig(pick=pick, update=update, t=t_eff, k=k, gamma=gamma,
-                            with_replacement=with_replacement, averaged=averaged)
+    pick, update, name_t = METHOD_TABLE[base]
+    samples = pick == "grad_power"
+    for option, value, unset, reads in (("t", suffix_t if t is None else t, None, samples),
+                                        ("replacement", with_replacement, True, samples),
+                                        ("gamma", gamma, None, update == "fixed_grad"),
+                                        ("k", k, 1, pick not in ("pm", "all"))):
+        if value != unset and not reads:
+            raise UsageError(f"{base} never reads {option}; got {option} = {value!r}")
+    powers = [p for p in (name_t, suffix_t, t) if p is not None]
+    if len(set(powers)) > 1:
+        raise UsageError(
+            f"{name} samples with t = {powers[0]:g}; t = {powers[-1]:g} contradicts it")
+    config = StrategyConfig(pick=pick, update=update, t=powers[0] if powers else 1.0,
+                            k=k, gamma=gamma, with_replacement=with_replacement,
+                            averaged=averaged)
     # a fixed-step config without gamma is validated once the caller sets one
     if pick != "pm" and (gamma is not None or update != "fixed_grad"):
         config.validate()
@@ -106,28 +119,6 @@ def parse_hubbard(spec: str) -> LatticeSpec:
     return _build_spec(spec, "hubbard", keys, LatticeSpec)
 
 
-def _build_oracle(args) -> tuple[ColumnOracle, str]:
-    sources = [s for s in ("matrix", "synthetic", "hubbard")
-               if getattr(args, s, None)]
-    if len(sources) != 1:
-        raise UsageError("exactly one of --matrix/--synthetic/--hubbard is required")
-    src = sources[0]
-    if src == "matrix":
-        oracle: ColumnOracle = load_dense(args.matrix)
-    elif src == "synthetic":
-        oracle = build_synthetic(parse_synthetic(args.synthetic))
-    else:
-        oracle = HubbardOracle(parse_hubbard(args.hubbard))
-    scale = float(getattr(args, "scale", 1.0))
-    shift = float(getattr(args, "shift", 0.0))
-    for name, value in (("scale", scale), ("shift", shift)):
-        if not np.isfinite(value):
-            raise UsageError(f"{name} must be a finite number, got {value}")
-    if scale != 1.0 or shift != 0.0:
-        oracle = shift_scale(oracle, scale, shift)
-    return oracle, src
-
-
 def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
     """Initial vectors: ``eJ[:amp]``, ``hf[:amp]``, or ``file:PATH``."""
     if spec == "default":
@@ -163,50 +154,10 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
     return x0
 
 
-def _add_matrix_args(parser):
-    parser.add_argument("--matrix", help="dense symmetric matrix text file")
-    parser.add_argument("--synthetic", help="spectrum spec, e.g. n=500,l1=108[,lo=..,hi=..,seed=..]")
-    parser.add_argument("--hubbard", help="lattice spec, e.g. l1=4,l2=4,nup=3,ndown=3[,t=..,u=..]")
-    parser.add_argument("--scale", type=float, default=1.0, help="use scale*A + shift*I")
-    parser.add_argument("--shift", type=float, default=0.0)
-
-
-def _add_run_args(parser):
-    parser.add_argument("--method", required=True)
-    parser.add_argument("--t", type=float, default=None, help="sampling power override")
-    parser.add_argument("--k", type=int, default=1, help="coordinates per iteration")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="fixed stepsize; defaults to the safe bound")
-    parser.add_argument("--replacement", type=_parse_bool, default=True)
-    parser.add_argument("--averaged", type=_parse_bool, default=False)
-    parser.add_argument("--x0", default="default",
-                        help="eJ[:amp] | hf[:amp] | file:PATH (default e1, or hf:10 for hubbard)")
-    parser.add_argument("--tol", type=_positive_float, default=1e-6)
-    parser.add_argument("--max-col-access", type=_nonnegative_int, default=100_000_000)
-    parser.add_argument("--seeds", type=_positive_int, default=20)
-    parser.add_argument("--trace-stride", type=_nonnegative_int, default=0,
-                        help="record every Nth iteration; 0 records none")
-    parser.add_argument("--out", default=None, help="directory for trace/summary CSVs")
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -222,36 +173,63 @@ def _parse_bool(text: str) -> bool:
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", list: "a list"}
 
-# the keys of a bench method entry, with the type JSON must give each
-_METHOD_KEYS = (("name", str), ("label", str), ("k", int), ("gamma", float),
-                ("t", float), ("replacement", bool), ("averaged", bool))
+# each range rule, keyed by the text a refusal quotes
+_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          "a finite number": math.isfinite}
+
+# Every run option once: (bench key, JSON type, default, range rule, help); the
+# _METHOD_KEYS are per "methods" entry, and solve spells each key as _flag(key).
+_RUN_KEYS = (
+    ("matrix", str, None, None, "dense symmetric matrix text file"),
+    ("synthetic", str, None, None, "spectrum spec, e.g. n=500,l1=108[,lo=..,hi=..,seed=..]"),
+    ("hubbard", str, None, None, "lattice spec, e.g. l1=4,l2=4,nup=3,ndown=3[,t=..,u=..]"),
+    ("scale", float, 1.0, "a finite number", "use scale*A + shift*I"),
+    ("shift", float, 0.0, "a finite number", None),
+    ("x0", str, "default", None, "eJ[:amp] | hf[:amp] | file:PATH (default e1, hf:10 for hubbard)"),
+    ("tol", float, 1e-6, "> 0", None),
+    ("max_col_access", int, 100_000_000, ">= 0", None),
+    ("seeds", int, 20, ">= 1", None),
+    ("trace_stride", int, 0, ">= 0", "record every Nth iteration; 0 records none"),
+    ("out", str, None, None, "directory for trace/summary CSVs"),
+    ("methods", list, None, None, None),
+)
+_METHOD_KEYS = (
+    ("name", str, None, None, None),
+    ("label", str, None, None, None),
+    ("k", int, 1, None, "coordinates per iteration"),
+    ("gamma", float, None, None, "fixed stepsize; defaults to the safe bound"),
+    ("t", float, None, None, "sampling power override"),
+    ("replacement", bool, True, None, None),
+    ("averaged", bool, False, None, None),
+)
 
 
-def _config_value(section: dict, key: str, kind: type, default=None, *,
-                  where: str = "bench config"):
-    """``section[key]``, or ``default`` when absent or null, refused unless
-    JSON gave it type ``kind``; a float key also takes an integer."""
-    value = section.get(key)
-    if value is None:
-        return default
-    if kind is float and type(value) is int:
-        value = float(value)
-    # bool is an int subclass, but true is not a count
-    if type(value) is not kind:
-        raise UsageError(f"{where}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
+def _flag(key: str) -> str:
+    return "--method" if key == "name" else "--" + key.replace("_", "-")
 
 
-def _run_one_method(oracle, name, args_like) -> StrategyConfig:
-    config = parse_method(name, k=args_like.get("k", 1),
-                          gamma=args_like.get("gamma"),
-                          with_replacement=args_like.get("replacement", True),
-                          averaged=args_like.get("averaged", False),
-                          t=args_like.get("t"))
-    if config.update == "fixed_grad" and config.gamma is None:
-        config = dataclasses.replace(config, gamma=stepsize_bound(oracle)).validate()
-    config.columns_per_step(oracle.dim)  # refuses a batch the operator cannot supply
-    return config
+def _checked(section: dict, keys, where: str, flags: bool) -> dict:
+    """Each key's value in ``section``, or its default when absent or null,
+    refused unless the table lists the key, JSON gave the value the key's
+    type (a float also takes an integer) and it passes the key's rule."""
+    unknown = sorted(section.keys() - {key for key, *_ in keys})
+    if unknown:
+        raise UsageError(f"{where}unknown keys {unknown}")
+    values = {}
+    for key, kind, default, rule, _ in keys:
+        value = section.get(key)
+        if kind is float and type(value) is int:
+            value = float(value)
+        name = _flag(key) if flags else key
+        if value is None:
+            value = default
+        # bool is an int subclass, but true is not a count
+        elif type(value) is not kind:
+            raise UsageError(f"{where}{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        elif rule and not _RULES[rule](value):
+            raise UsageError(f"{where}{name} must be {rule}, got {value}")
+        values[key] = value
+    return values
 
 
 def _checked_reference(oracle: ColumnOracle) -> ReferenceSolution:
@@ -268,31 +246,80 @@ def _checked_reference(oracle: ColumnOracle) -> ReferenceSolution:
     return reference
 
 
-def cmd_solve(args) -> int:
-    oracle, kind = _build_oracle(args)
-    config = _run_one_method(oracle, args.method, vars(args))
-    x0 = parse_x0(args.x0, oracle, kind)
+def _load_run(cfg: dict, flags: bool = False):
+    """``(options, [(label, run), ...])`` for a bench config, each ``run()``
+    one ``run_experiment``.  Keys are checked first, then the oracle, x0 and
+    each method's config built, and the reference comes last, so no refusal
+    waits for it.  ``flags`` names each key by its solve flag."""
+    where = "" if flags else "bench config: "
+    options = _checked(cfg, _RUN_KEYS, where, flags)
+    if not options["methods"]:
+        raise UsageError(f"{where}methods must list at least one method entry")
+    entries = []
+    for i, entry in enumerate(options["methods"]):
+        at = "" if flags else f"{where}methods[{i}]: "
+        if not isinstance(entry, dict) or entry.get("name") is None:
+            raise UsageError(f"{at}expected an object with a name, got {entry!r}")
+        entries.append((at, _checked(entry, _METHOD_KEYS, at, flags)))
+    sources = [key for key in ("matrix", "synthetic", "hubbard") if options[key]]
+    if len(sources) != 1:
+        raise UsageError("exactly one of --matrix/--synthetic/--hubbard is required")
+    kind = sources[0]
+    build = {"matrix": load_dense, "hubbard": lambda s: HubbardOracle(parse_hubbard(s)),
+             "synthetic": lambda s: build_synthetic(parse_synthetic(s))}
+    oracle: ColumnOracle = build[kind](options[kind])
+    if options["scale"] != 1.0 or options["shift"] != 0.0:
+        oracle = shift_scale(oracle, options["scale"], options["shift"])
+    x0 = parse_x0(options["x0"], oracle, kind)
+    methods = {}  # trace file slug -> (label, config)
+    for at, entry in entries:
+        name = entry["name"]
+        try:
+            config = parse_method(name, k=entry["k"], gamma=entry["gamma"],
+                                  with_replacement=entry["replacement"],
+                                  averaged=entry["averaged"], t=entry["t"])
+            if config.update == "fixed_grad" and config.gamma is None:
+                config = dataclasses.replace(config, gamma=stepsize_bound(oracle)).validate()
+            config.columns_per_step(oracle.dim)  # refuses a batch the operator cannot supply
+        except ValueError as exc:
+            raise UsageError(f"{at}{exc}") from None
+        label = entry["label"] or (f"{name}-k{config.k}" if config.k > 1 else name)
+        slug = _slug(label)
+        if slug in methods:
+            raise UsageError(f"{at}labels {methods[slug][0]!r} and {label!r} would write "
+                             "the same trace files; give each method entry its own label")
+        methods[slug] = (label, config)
     reference = _checked_reference(oracle)
-    result = run_experiment(oracle, config, x0, args.tol, args.max_col_access,
-                            seeds=args.seeds, reference=reference,
-                            label=args.method, trace_stride=args.trace_stride)
+    run = functools.partial(run_experiment, oracle, x0=x0, tol=options["tol"],
+                            max_col_access=options["max_col_access"], seeds=options["seeds"],
+                            reference=reference, trace_stride=options["trace_stride"])
+    return options, [(label, functools.partial(run, config=config, label=label))
+                     for label, config in methods.values()]
+
+
+def cmd_solve(args) -> int:
+    given = vars(args)
+    cfg = {key: given[key] for key, *_ in _RUN_KEYS if key in given}
+    cfg["methods"] = [{key: given[key] for key, *_ in _METHOD_KEYS if key in given}]
+    options, [(_, run)] = _load_run(cfg, flags=True)
+    result = run()
     stats = result.stats
     best = min((o for o in result.outcomes if o.status == "converged"),
                key=lambda o: o.trace[-1].eps_obj)
-    print(f"method={args.method} k={result.k} seeds_used={stats.seeds_used} "
+    print(f"method={args.name} k={result.k} seeds_used={stats.seeds_used} "
           f"failed={stats.diverged_count}")
     print(f"iterations min/med/max = {stats.min_iters}/{stats.med_iters}/{stats.max_iters}")
     print(f"total_col_access = {stats.total_col_access}")
     rec = best.trace[-1]
     lam_hat = best.final_nu  # ||x||^2 estimates lambda_1 at convergence
     print(f"lambda_estimate = {lam_hat!r}")
-    if args.scale != 1.0 or args.shift != 0.0:
-        print(f"unshifted_eigenvalue = {(lam_hat - args.shift) / args.scale!r}")
+    if options["scale"] != 1.0 or options["shift"] != 0.0:
+        print(f"unshifted_eigenvalue = {(lam_hat - options['shift']) / options['scale']!r}")
     print(f"eps_obj = {rec.eps_obj!r}  eps_energy = {rec.eps_energy!r}  "
           f"eps_tan = {rec.eps_tan!r}")
-    if args.out:
-        emit_trace([result], args.out)
-        print(f"traces written to {args.out}")
+    if options["out"]:
+        emit_trace([result], options["out"])
+        print(f"traces written to {options['out']}")
     return 0
 
 
@@ -301,44 +328,13 @@ def cmd_bench(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError("bench config: expected a JSON object")
-    seeds = _config_value(cfg, "seeds", int, 20)
-    tol = _config_value(cfg, "tol", float, 1e-6)
-    budget = _config_value(cfg, "max_col_access", int, 100_000_000)
-    stride = _config_value(cfg, "trace_stride", int, 0)
-    for key, value, ok, rule in (("seeds", seeds, seeds >= 1, ">= 1"),
-                                 ("tol", tol, tol > 0, "> 0"),
-                                 ("max_col_access", budget, budget >= 0, ">= 0"),
-                                 ("trace_stride", stride, stride >= 0, ">= 0")):
-        if not ok:
-            raise UsageError(f"bench config: {key} must be {rule}, got {value}")
-    methods = _config_value(cfg, "methods", list)
-    if not methods:
-        raise UsageError("bench config: methods must list at least one method entry")
-    ns = argparse.Namespace(
-        **{key: _config_value(cfg, key, str) for key in ("matrix", "synthetic", "hubbard")},
-        scale=_config_value(cfg, "scale", float, 1.0),
-        shift=_config_value(cfg, "shift", float, 0.0))
-    oracle, kind = _build_oracle(ns)
-    x0 = parse_x0(_config_value(cfg, "x0", str, "default"), oracle, kind)
-    configs = []
-    for i, entry in enumerate(methods):
-        where = f"bench config: methods[{i}]"
-        if not isinstance(entry, dict) or entry.get("name") is None:
-            raise UsageError(f"{where}: expected an object with a name, got {entry!r}")
-        entry = {key: _config_value(entry, key, kind, where=where)
-                 for key, kind in _METHOD_KEYS if entry.get(key) is not None}
-        configs.append((entry, _run_one_method(oracle, entry["name"], entry)))
-    reference = _checked_reference(oracle)
-    out_dir = args.out or _config_value(cfg, "out", str, "bench-out")
+    options, runs = _load_run(cfg)
+    out_dir = args.out or options["out"] or "bench-out"
     results = []
     failures = 0
-    for entry, config in configs:
-        name = entry["name"]
-        label = entry.get("label", f"{name}-k{config.k}" if config.k > 1 else name)
+    for label, run in runs:
         try:
-            result = run_experiment(oracle, config, x0, tol, budget, seeds=seeds,
-                                    reference=reference, label=label,
-                                    trace_stride=stride)
+            result = run()
         except AllSeedsFailed as exc:
             print(f"{label}: FAILED ({exc})")
             failures += 1
@@ -385,8 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one method on one matrix")
-    _add_matrix_args(p_solve)
-    _add_run_args(p_solve)
+    # every key but bench's own two; no default, so an absent flag takes the table's
+    for key, kind, _, _, text in _RUN_KEYS + _METHOD_KEYS:
+        if key not in ("methods", "label"):
+            p_solve.add_argument(_flag(key), dest=key, required=key == "name", help=text,
+                                 type=_parse_bool if kind is bool else kind)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a method suite from a JSON config")

@@ -11,6 +11,10 @@ from eigencd.operators import DenseSymmetric, load_dense, save_dense
 from conftest import double_top
 
 
+def _no_reference(oracle):
+    raise AssertionError("the reference ran before the refusal")
+
+
 class TestParseMethod:
     @pytest.mark.parametrize("name,pick,update,t", [
         ("CD-Cyc-Grad", "cyclic", "fixed_grad", None),
@@ -44,6 +48,12 @@ class TestParseMethod:
     def test_power_suffix_rejected_outside_scd(self):
         with pytest.raises(UsageError):
             parse_method("GCD-LS-LS(2)")
+
+    def test_options_the_method_reads_pass(self):
+        assert parse_method("PM", k=1).pick == "pm"
+        assert parse_method("SCD-Grad-LS(2)", t=2.0).t == 2.0
+        assert parse_method("SCD-Uni-LS", t=0.0, with_replacement=False).t == 0.0
+        assert parse_method("SCD-Grad-LS", t=0.5).t == 0.5
 
     def test_batch_passthrough(self):
         config = parse_method("SCD-Grad-LS(1)", k=4, averaged=True)
@@ -115,13 +125,6 @@ class TestCommands:
         assert main(["solve", "--matrix", str(path), "--method", "PM"]) == 2
         assert "non-finite entry nan at row 2, column 2" in capsys.readouterr().err
 
-    def test_zero_seeds_refused(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--synthetic", "n=10,l1=5,lo=1,hi=4",
-                  "--method", "SCD-Uni-LS", "--seeds", "0"])
-        assert exc.value.code == 2
-        assert "--seeds: expected a positive integer" in capsys.readouterr().err
-
     def test_hubbard_info_negative_max_dim_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1",
@@ -129,38 +132,92 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--max-dim: expected a positive integer, got '-1'" in capsys.readouterr().err
 
-    def test_bench_zero_seeds_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,key,value,message", [
+        ("--seeds", "seeds", 0, "must be >= 1, got 0"),
+        ("--tol", "tol", 0, "must be > 0, got 0.0"),
+        ("--tol", "tol", -0.5, "must be > 0, got -0.5"),
+        ("--max-col-access", "max_col_access", -5, "must be >= 0, got -5"),
+        ("--trace-stride", "trace_stride", -1, "must be >= 0, got -1"),
+        ("--scale", "scale", float("inf"), "must be a finite number, got inf"),
+        ("--shift", "shift", float("nan"), "must be a finite number, got nan"),
+    ], ids=["seeds-0", "tol-0", "tol-negative", "max_col_access-negative",
+            "trace_stride-negative", "scale-inf", "shift-nan"])
+    def test_run_option_out_of_range_refused(self, flag, key, value, message, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
+                     "--method", "GCD-LS-LS", flag, str(value)]) == 2
+        assert f"error: {flag} {message}" in capsys.readouterr().err
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", "seeds": 0,
-                                    "methods": [{"name": "SCD-Uni-LS"}]}))
-        assert main(["bench", "--config", str(path)]) == 2
-        assert "seeds must be >= 1, got 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--tol", "0", "--tol: expected a positive number, got '0'"),
-        ("--tol", "-0.5", "--tol: expected a positive number, got '-0.5'"),
-        ("--max-col-access", "-5", "--max-col-access: expected a non-negative integer"),
-        ("--trace-stride", "-1", "--trace-stride: expected a non-negative integer"),
-    ])
-    def test_bad_run_flag_refused(self, flag, value, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
-                  "--method", "GCD-LS-LS", flag, value])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value,message", [
-        ("tol", 0, "tol must be > 0, got 0.0"),
-        ("tol", -1e-3, "tol must be > 0, got -0.001"),
-        ("max_col_access", -5, "max_col_access must be >= 0, got -5"),
-        ("trace_stride", -1, "trace_stride must be >= 0, got -1"),
-    ])
-    def test_bench_bad_run_key_refused(self, key, value, message, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", key: value,
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=1,hi=4", key: value,
                                     "methods": [{"name": "GCD-LS-LS"}]}))
         assert main(["bench", "--config", str(path)]) == 2
+        assert f"error: bench config: {key} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,message", [
+        ({"tols": 1e-12, "methods": [{"name": "GCD-LS-LS"}]},
+         "bench config: unknown keys ['tols']"),
+        ({"methods": [{"name": "GCD-LS-LS"}, {"name": "SCD-Grad-LS(1)", "K": 4}]},
+         "bench config: methods[1]: unknown keys ['K']"),
+    ], ids=["run-key", "method-key"])
+    def test_bench_unknown_key_refused(self, config, message, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=1,hi=4", **config}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods,message", [
+        ([{"name": "SCD-Grad-LS", "t": 1}, {"name": "SCD-Grad-LS", "t": 2}],
+         "methods[1]: labels 'SCD-Grad-LS' and 'SCD-Grad-LS' would write the same trace"),
+        ([{"name": "PM", "label": "a b"}, {"name": "GCD-LS-LS", "label": "a-b"}],
+         "methods[1]: labels 'a b' and 'a-b' would write the same trace"),
+    ], ids=["same-label", "same-slug"])
+    def test_bench_clashing_labels_refused(self, methods, message, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=1,hi=4", "methods": methods}))
+        assert main(["bench", "--config", str(path)]) == 2
         assert f"bench config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,key,value,message", [
+        ("GCD-LS-LS", "t", 5.0, "GCD-LS-LS never reads t; got t = 5.0"),
+        ("SCD-Grad-LS(1)", "t", 2.0, "SCD-Grad-LS(1) samples with t = 1; t = 2 contradicts it"),
+        ("SCD-Uni-LS", "t", 1.0, "SCD-Uni-LS samples with t = 0; t = 1 contradicts it"),
+        ("GCD-LS-LS", "gamma", 0.1, "GCD-LS-LS never reads gamma; got gamma = 0.1"),
+        ("GCD-LS-LS", "replacement", False,
+         "GCD-LS-LS never reads replacement; got replacement = False"),
+        ("PM", "k", 3, "PM never reads k; got k = 3"),
+    ], ids=["t-unsampled", "t-against-suffix", "t-against-uni", "gamma-unstepped",
+            "replacement-unsampled", "k-pm"])
+    def test_unread_option_refused(self, method, key, value, message, tmp_path,
+                                   monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
+        assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", method,
+                     f"--{key}", str(value)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=1,hi=4",
+                                    "methods": [{"name": method, key: value}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert f"error: bench config: methods[0]: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["GCD-LS-LS", "SCD-Grad-LS(1)"])
+    def test_solve_is_a_one_method_bench(self, method, tmp_path, capsys):
+        source = "n=40,l1=8,lo=0.5,hi=4,seed=1"
+        assert main(["solve", "--synthetic", source, "--method", method,
+                     "--seeds", "3"]) == 0
+        out = capsys.readouterr().out
+        iters = out.split("iterations min/med/max = ")[1].split()[0]
+        total = out.split("total_col_access = ")[1].split()[0]
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": source, "seeds": 3,
+                                    "methods": [{"name": method}]}))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert f"{method}: k=1 iters {iters} col_access {total} failed_seeds 0" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("config,message", [
         ({}, "bench config: methods must list at least one method entry"),
@@ -275,13 +332,10 @@ class TestCommands:
             "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude",
             "x0-file-abc", "matrix-entry-x", "matrix-size-x"])
     def test_bad_spec_value_refused(self, argv, message, tmp_path, monkeypatch, capsys):
-        def no_reference(oracle):
-            raise AssertionError("the reference ran before the refusal")
-
         (tmp_path / "x0.txt").write_text("1\nabc\n")
         (tmp_path / "entry.txt").write_text("2\n1.0 x\nx 3.0\n")
         (tmp_path / "size.txt").write_text("x\n1.0\n")
-        monkeypatch.setattr(cli, "compute_reference", no_reference)
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         assert message in capsys.readouterr().err
 
@@ -352,10 +406,7 @@ class TestCommands:
     ])
     def test_distinct_batch_above_the_order_refused(self, method, extra, tmp_path,
                                                     monkeypatch, capsys):
-        def no_reference(oracle):
-            raise AssertionError("the reference ran before the refusal")
-
-        monkeypatch.setattr(cli, "compute_reference", no_reference)
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
         message = "batch size k = 30 exceeds the operator order n = 20"
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", method,
                      "--k", "30", *extra]) == 2

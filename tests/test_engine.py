@@ -833,7 +833,9 @@ class TestStrategyAccounting:
     @pytest.mark.parametrize("name", sorted(METHOD_TABLE))
     def test_deterministic_and_columns_per_step(self, small_synthetic, name):
         k, deterministic, per_step = METHOD_ACCOUNTING[name]
-        config = parse_method(name, k=k, gamma=stepsize_bound(small_synthetic))
+        fixed_step = METHOD_TABLE[name][1] == "fixed_grad"  # only these read gamma
+        config = parse_method(name, k=k,
+                              gamma=stepsize_bound(small_synthetic) if fixed_step else None)
         assert config.deterministic is deterministic
         assert config.columns_per_step(30) == per_step
         # both facts hold for real iterations: 4 steps charge 4 * per_step,
