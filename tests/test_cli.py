@@ -132,6 +132,31 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--max-dim: expected a positive integer, got '-1'" in capsys.readouterr().err
 
+    def test_zero_seeds_refused(self, capsys):
+        assert main(["solve", "--synthetic", "n=10,l1=5,lo=1,hi=4",
+                     "--method", "SCD-Uni-LS", "--seeds", "0"]) == 2
+        assert "error: --seeds must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_bench_zero_seeds_refused(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", "seeds": 0,
+                                    "methods": [{"name": "SCD-Uni-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "seeds must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("tol", 0, "tol must be > 0, got 0.0"),
+        ("tol", -1e-3, "tol must be > 0, got -0.001"),
+        ("max_col_access", -5, "max_col_access must be >= 0, got -5"),
+        ("trace_stride", -1, "trace_stride must be >= 0, got -1"),
+    ])
+    def test_bench_bad_run_key_refused(self, key, value, message, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=10,l1=5,lo=1,hi=4", key: value,
+                                    "methods": [{"name": "GCD-LS-LS"}]}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert f"bench config: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,key,value,message", [
         ("--seeds", "seeds", 0, "must be >= 1, got 0"),
         ("--tol", "tol", 0, "must be > 0, got 0.0"),
