@@ -63,12 +63,15 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
         raise UsageError(f"unknown method {name!r}; supported: {known}")
     pick, update, name_t = METHOD_TABLE[base]
     samples = pick == "grad_power"
+    batches = update != "vec_ls" and pick != "pm"  # averaged divides their k > 1 steps
     for option, value, unset, reads in (("t", suffix_t if t is None else t, None, samples),
                                         ("replacement", with_replacement, True, samples),
                                         ("gamma", gamma, None, update == "fixed_grad"),
-                                        ("k", k, 1, pick not in ("pm", "all"))):
+                                        ("k", k, 1, pick not in ("pm", "all")),
+                                        ("averaged", averaged, False, batches and k > 1)):
         if value != unset and not reads:
-            raise UsageError(f"{base} never reads {option}; got {option} = {value!r}")
+            at_k = " at k = 1" if option == "averaged" and batches else ""
+            raise UsageError(f"{base} never reads {option}{at_k}; got {option} = {value!r}")
     powers = [p for p in (name_t, suffix_t, t) if p is not None]
     if len(set(powers)) > 1:
         raise UsageError(
@@ -350,8 +353,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_hubbard_info(args) -> int:
-    spec = LatticeSpec(l1=args.l[0], l2=args.l[1], n_up=args.nup,
-                       n_down=args.ndown, t_hop=args.t, u=args.u)
+    given = {"l1": args.l[0], "l2": args.l[1], "nup": args.nup, "ndown": args.ndown,
+             "t": args.t, "u": args.u}
+    spec = parse_hubbard(",".join(f"{key}={value}" for key, value in given.items()
+                                  if value is not None))
     info = sector_info(spec, max_dim=args.max_dim)
     print(f"lattice {spec.l1}x{spec.l2}  t={spec.t_hop} U={spec.u}  "
           f"electrons {spec.n_up}+{spec.n_down}")
@@ -399,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--l", type=int, nargs=2, required=True, metavar=("L1", "L2"))
     p_info.add_argument("--nup", type=int, required=True)
     p_info.add_argument("--ndown", type=int, required=True)
-    p_info.add_argument("--t", type=float, default=1.0)
-    p_info.add_argument("--u", type=float, default=4.0)
+    # t and U are typed and defaulted by parse_hubbard's key table
+    p_info.add_argument("--t")
+    p_info.add_argument("--u")
     p_info.add_argument("--max-dim", type=_positive_int, default=5_000_000)
     p_info.set_defaults(func=cmd_hubbard_info)
 

@@ -13,14 +13,19 @@ HF basis vector.  The sector is assembled once into CSC sparse form, and
 every column the oracle serves is a slice of it, so the sector's nonzeros
 must fit in memory.
 
-One kernel, :func:`_column_kernel`, builds a block of columns at once: numpy
-bit operations on the int64 occupation masks form every move of the block
-as one array over (column, occupied up orbital, occupied down orbital,
-transfer), and each target determinant is found by ``np.searchsorted`` on
-the basis' sorted keys ``(up << n_orb) | down``.
-:meth:`HubbardOracle.prepare` runs the kernel block by block into the CSC
-arrays; :func:`hamiltonian_column` runs it on one column, independently of
-any assembled matrix.
+An electron's move depends only on its own spin's mask, so the moves are
+tabulated once per distinct up mask and once per distinct down mask of the
+basis (560 of each at 4x4 3+3, against 19,600 columns): the new mask, the
+Jordan-Wigner parity and whether the destination is empty, for every
+(occupied orbital, transfer).  The entries per column are then one product
+of the two spins' allowed-move counts, summed over the transfer.  One
+kernel, :func:`_column_kernel`, builds a block of columns at once: it
+gathers each column's rows of the two tables and pairs them into one array
+over (column, occupied up orbital, occupied down orbital, transfer), and
+each target determinant is found by ``np.searchsorted`` on the basis'
+sorted keys ``(up << n_orb) | down``.  :meth:`HubbardOracle.prepare` runs
+the kernel block by block into the CSC arrays; :func:`hamiltonian_column`
+runs it on one column, independently of any assembled matrix.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -204,6 +209,16 @@ class MomentumBasis:
         hub = (spec.u / spec.n_orb) * spec.n_up * spec.n_down
         return spec.t_hop * kin + hub
 
+    @cached_property
+    def up_moves(self) -> SpinMoves:
+        """Up moves ``p -> p - q``, ``q != 0``, per distinct up mask."""
+        return _spin_moves(self.up_masks, self.spec._transfer_tables[0])
+
+    @cached_property
+    def down_moves(self) -> SpinMoves:
+        """Down moves ``k -> k + q``, ``q != 0``, per distinct down mask."""
+        return _spin_moves(self.down_masks, self.spec._transfer_tables[1])
+
 
 def _spin_masks_by_momentum(spec: LatticeSpec, count: int) -> dict[tuple[int, int], list[int]]:
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -257,44 +272,54 @@ def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> Mo
     return MomentumBasis(spec, momentum, keys >> n_orb, keys & ((1 << n_orb) - 1))
 
 
-def _moves(masks: np.ndarray, table: np.ndarray, q: np.ndarray):
-    """Every move of one electron from occupied ``o`` to ``table[o, q]``.
+class SpinMoves(NamedTuple):
+    """One spin's moves, tabulated per distinct mask of a basis.
 
-    Returns the new masks, the Jordan-Wigner parity of the move and whether
-    the destination is empty, each shaped (masks, occupied orbitals, q).
+    ``index[j]`` is the table row of column ``j``'s mask; ``new``, ``parity``
+    and ``allowed`` are shaped (distinct masks, occupied orbitals, transfer
+    ``q = 1 .. n_orb-1``).
     """
+
+    index: np.ndarray
+    new: np.ndarray
+    parity: np.ndarray
+    allowed: np.ndarray
+
+
+def _spin_moves(masks: np.ndarray, table: np.ndarray) -> SpinMoves:
+    """Every move of one electron from occupied ``o`` to ``table[o, q]``,
+    ``q != 0``, for each distinct mask of ``masks``: the new mask, the
+    Jordan-Wigner parity of the move (odd is True) and whether the
+    destination is empty."""
+    masks, index = np.unique(masks, return_inverse=True)
     n_orb = table.shape[0]
     bits = (masks[:, None] >> np.arange(n_orb)) & 1
     below = np.cumsum(bits, axis=1) - bits  # occupied orbitals strictly below
     occ = np.nonzero(bits)[1].reshape(masks.size, -1)[:, :, None]
-    dest = table[occ, q]
+    dest = table[occ, np.arange(1, n_orb)]
     rows = np.arange(masks.size)[:, None, None]
     allowed = bits[rows, dest] == 0
     # the annihilation passes below(occ) occupied modes; the creation passes
     # below(dest), one fewer if the electron left from under dest
-    parity = (below[rows, occ] + below[rows, dest] - (occ < dest)) & 1
+    parity = ((below[rows, occ] + below[rows, dest] - (occ < dest)) & 1) == 1
     new = (masks[:, None, None] ^ (1 << occ)) | (1 << dest)
-    return new, parity, allowed
+    return SpinMoves(index.astype(np.min_scalar_type(masks.size)), new, parity, allowed)
 
 
-def _block_moves(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int):
-    """Up moves ``p -> p - q`` and down moves ``k -> k + q`` of columns ``lo .. hi-1``."""
-    sub, add = spec._transfer_tables
-    q = np.arange(1, spec.n_orb)
-    return (_moves(basis.up_masks[lo:hi], sub, q),
-            _moves(basis.down_masks[lo:hi], add, q))
-
-
-def _column_counts(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) -> np.ndarray:
+def _column_counts(spec: LatticeSpec, basis: MomentumBasis) -> np.ndarray:
     """Entries per column of :func:`_column_kernel`, without forming them.
 
     For each transfer q, every allowed up move pairs with every allowed down
     move; the diagonal adds one.
     """
     if spec.u / spec.n_orb == 0.0:
-        return np.ones(hi - lo, dtype=np.int64)
-    (_, _, up_ok), (_, _, dn_ok) = _block_moves(spec, basis, lo, hi)
-    return 1 + (up_ok.sum(axis=1) * dn_ok.sum(axis=1)).sum(axis=1)
+        return np.ones(basis.dim, dtype=np.int64)
+    up, dn = basis.up_moves, basis.down_moves
+    # at most 31 moves per (mask, q) fit a byte; a column's pairs, below
+    # 30 * 31**2, are summed in int32 without a widened copy of either side
+    up_ok = up.allowed.sum(axis=1, dtype=np.uint8)[up.index]
+    dn_ok = dn.allowed.sum(axis=1, dtype=np.uint8)[dn.index]
+    return 1 + np.einsum("jq,jq->j", up_ok, dn_ok, dtype=np.int32).astype(np.int64)
 
 
 def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) -> Column:
@@ -302,15 +327,19 @@ def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) ->
 
     Column ``lo + b`` holds the next :func:`_column_counts` entries of
     ``rows`` and ``vals``, ascending by row.  Off-diagonal entries come from the moves
-    ``p -> p - q`` (up) with ``k -> k + q`` (down), ``q != 0``, formed for the
-    whole block as one array over (column, p, k, q).
+    ``p -> p - q`` (up) with ``k -> k + q`` (down), ``q != 0``, gathered from
+    the basis' per-mask tables for the whole block as one array over
+    (column, p, k, q).
     """
     n_orb = spec.n_orb
     diag = basis.diagonal[lo:hi]
     amp = spec.u / n_orb
     if amp == 0.0:
         return np.arange(lo, hi), diag.copy()
-    (up_new, up_par, up_ok), (dn_new, dn_par, dn_ok) = _block_moves(spec, basis, lo, hi)
+    up, dn = basis.up_moves, basis.down_moves
+    ui, di = up.index[lo:hi], dn.index[lo:hi]
+    up_new, up_par, up_ok = up.new[ui], up.parity[ui], up.allowed[ui]
+    dn_new, dn_par, dn_ok = dn.new[di], dn.parity[di], dn.allowed[di]
     ok = up_ok[:, :, None, :] & dn_ok[:, None, :, :]
     counts = ok.sum(axis=(1, 2, 3)) + 1
     keys = np.concatenate([((up_new[:, :, None, :] << n_orb) | dn_new[:, None, :, :])[ok],
@@ -381,14 +410,11 @@ class HubbardOracle(ColumnOracle):
         index_dtype = np.int32 if dim < 2**31 else np.int64
         rows = np.empty(indptr[-1], dtype=index_dtype)
         data = np.empty(indptr[-1])
-        for lo, hi in self._blocks():
+        for lo in range(0, dim, _BLOCK_COLUMNS):
+            hi = min(lo + _BLOCK_COLUMNS, dim)
             rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
                 _column_kernel(self.spec, self.basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
-
-    def _blocks(self) -> list[tuple[int, int]]:
-        dim = self.dim
-        return [(lo, min(lo + _BLOCK_COLUMNS, dim)) for lo in range(0, dim, _BLOCK_COLUMNS)]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         self.prepare()
@@ -396,11 +422,10 @@ class HubbardOracle(ColumnOracle):
 
     def nnz_per_column(self) -> np.ndarray:
         """Entries per column: read from the CSC once it exists, otherwise
-        counted block by block without forming any entry."""
+        counted from the per-mask move tables without forming any entry."""
         if self._csc is not None:
             return np.diff(self._csc.indptr)
-        return np.concatenate([_column_counts(self.spec, self.basis, lo, hi)
-                               for lo, hi in self._blocks()])
+        return _column_counts(self.spec, self.basis)
 
 
 def ground_state_reference(spec: LatticeSpec, oracle: HubbardOracle | None = None,

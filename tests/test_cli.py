@@ -215,8 +215,16 @@ class TestCommands:
         ("GCD-LS-LS", "replacement", False,
          "GCD-LS-LS never reads replacement; got replacement = False"),
         ("PM", "k", 3, "PM never reads k; got k = 3"),
+        ("PM", "averaged", True, "PM never reads averaged; got averaged = True"),
+        ("CD-Cyc-LS", "averaged", True,
+         "CD-Cyc-LS never reads averaged at k = 1; got averaged = True"),
+        ("GCD-LS-LS", "averaged", True,
+         "GCD-LS-LS never reads averaged at k = 1; got averaged = True"),
+        ("SCD-Grad-LS(1)", "averaged", True,
+         "SCD-Grad-LS never reads averaged at k = 1; got averaged = True"),
     ], ids=["t-unsampled", "t-against-suffix", "t-against-uni", "gamma-unstepped",
-            "replacement-unsampled", "k-pm"])
+            "replacement-unsampled", "k-pm", "averaged-pm", "averaged-cyclic-k1",
+            "averaged-greedy-k1", "averaged-sampled-k1"])
     def test_unread_option_refused(self, method, key, value, message, tmp_path,
                                    monkeypatch, capsys):
         monkeypatch.setattr(cli, "compute_reference", _no_reference)
@@ -228,6 +236,17 @@ class TestCommands:
                                     "methods": [{"name": method, key: value}]}))
         assert main(["bench", "--config", str(path)]) == 2
         assert f"error: bench config: methods[0]: {message}" in capsys.readouterr().err
+
+    def test_averaged_batch_runs(self, tmp_path, capsys):
+        source = "n=20,l1=5,lo=1,hi=4"
+        assert main(["solve", "--synthetic", source, "--method", "SCD-Grad-LS(1)",
+                     "--k", "2", "--averaged", "true", "--seeds", "2"]) == 0
+        assert "method=SCD-Grad-LS(1) k=2 seeds_used=2" in capsys.readouterr().out
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": source, "seeds": 2, "methods": [
+            {"name": "SCD-Grad-LS(1)", "k": 2, "averaged": True}]}))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "SCD-Grad-LS(1)-k2: k=2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("method", ["GCD-LS-LS", "SCD-Grad-LS(1)"])
     def test_solve_is_a_one_method_bench(self, method, tmp_path, capsys):
@@ -465,8 +484,17 @@ class TestCommands:
         assert main(["hubbard", "info", "--l", "2", "2", "--nup", "1",
                      "--ndown", "1"]) == 0
         out = capsys.readouterr().out
+        assert "lattice 2x2  t=1.0 U=4.0  electrons 1+1" in out
         assert "dim = 4" in out
         assert "sector momentum = (0, 0)" in out
+
+    def test_hubbard_info_reads_t_and_u_through_the_spec(self, capsys):
+        argv = ["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1"]
+        assert main([*argv, "--t", "0.5", "--u", "8"]) == 0
+        assert "lattice 2x2  t=0.5 U=8.0" in capsys.readouterr().out
+        assert main([*argv, "--t", "inf"]) == 2
+        assert ("hubbard spec 'l1=2,l2=2,nup=1,ndown=1,t=inf': t_hop must be a finite "
+                "number, got inf") in capsys.readouterr().err
 
     def test_verify_exits_clean(self, capsys):
         assert main(["verify"]) == 0

@@ -58,6 +58,72 @@ class TestReference:
         self._assert_lanczos_matches_dense(
             monkeypatch, SpectrumSpec.gapped_grid(60, 8.0, -50.0, 4.0, seed=35))
 
+    @staticmethod
+    def _lanczos_against_dense(monkeypatch, eigenvalues):
+        """The Lanczos reference of a rotated spectrum, its matrix-vector
+        product count and the dense eigenvalues."""
+        a = build_synthetic(SpectrumSpec(np.asarray(eigenvalues), seed=37))
+        products = []
+        matvec = a.matvec
+
+        def counted(x):
+            products.append(1)
+            return matvec(x)
+
+        monkeypatch.setattr(a, "matvec", counted)
+        monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", 10)
+        ref = compute_reference(a)
+        assert ref.source == "lanczos"
+        return ref, len(products), np.linalg.eigvalsh(a.array)
+
+    def test_second_ritz_pair_handed_over(self, monkeypatch):
+        # one cycle of 60 products and its residual check find lambda1; the
+        # handed-over pair passes on its first product; one final check
+        ref, products, dense = self._lanczos_against_dense(
+            monkeypatch, np.r_[10.0, 6.0, np.linspace(3.0, 0.0, 298)])
+        assert products <= 63
+        assert ref.lambda1 == pytest.approx(dense[-1], abs=1e-8)
+        assert ref.lambda2 == pytest.approx(dense[-2], abs=1e-7)
+
+    def test_clustered_second_pair_continues_from_the_handover(self, monkeypatch):
+        # lambda2 and lambda3 sit 1e-2 apart, with the tail right under them:
+        # one cycle cannot split them, so the handed-over pair fails its test
+        # and the deflated run goes on from it
+        ref, products, dense = self._lanczos_against_dense(
+            monkeypatch, np.r_[10.0, 5.0, 4.99, np.linspace(4.98, 0.0, 297)])
+        assert products > 63
+        assert ref.lambda2 == pytest.approx(dense[-2], abs=1e-7)
+
+    def test_start_that_passes_is_returned_after_one_product(self):
+        a = build_synthetic(SpectrumSpec(np.r_[10.0, 6.0, np.linspace(3.0, 0.0, 58)], seed=37))
+        vals, vecs = np.linalg.eigh(a.array)
+        products = []
+
+        def counted(x):
+            products.append(1)
+            return a.matvec(x)
+
+        theta, v, second = harness._lanczos_extreme(counted, vecs[:, -2],
+                                                    ortho_against=(vecs[:, -1],))
+        assert (len(products), second) == (1, None)
+        assert theta == pytest.approx(vals[-2], abs=1e-10)
+        assert abs(float(v @ vecs[:, -2])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_vector_first_space_starts_the_second_run_at_random(self, monkeypatch):
+        lanczos = harness._lanczos_extreme
+        starts = []
+
+        def no_handover(matvec, v0, **kwargs):
+            starts.append(v0)
+            theta, v, _ = lanczos(matvec, v0, **kwargs)
+            return theta, v, None
+
+        monkeypatch.setattr(harness, "_lanczos_extreme", no_handover)
+        ref, _, dense = self._lanczos_against_dense(
+            monkeypatch, np.r_[10.0, 6.0, np.linspace(3.0, 0.0, 58)])
+        assert len(starts) == 2 and not np.array_equal(starts[0], starts[1])
+        assert ref.lambda2 == pytest.approx(dense[-2], abs=1e-7)
+
     def test_lanczos_path_makes_one_norm_survey(self, monkeypatch):
         # the Frobenius survey reads each column once; the eigensolve and
         # its residual check go through matvec only

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,36 @@ class TestOracle:
         monkeypatch.setattr(harness, "DENSE_REFERENCE_CUTOFF", dense_cutoff)
         compute_reference(shift_scale(oracle, -1.0, 100.0))
         assert blocks == [(0, 256), (256, 336)]
+
+    def test_assembly_pinned_bit_for_bit(self, spec44):
+        # SHA-256 of the 4x4 3+3 CSC's indptr, indices and data, in fixed
+        # dtypes, as the per-column move kernel assembled it
+        oracle = HubbardOracle(spec44)
+        oracle.prepare()
+        csc = oracle._csc
+        digest = hashlib.sha256()
+        for array, dtype in ((csc.indptr, "<i8"), (csc.indices, "<i8"), (csc.data, "<f8")):
+            digest.update(np.asarray(array, dtype=dtype).tobytes())
+        assert csc.nnz == 2_007_040
+        assert digest.hexdigest() == (
+            "bcc92dc8dfcd015b38eee6d5211b284b8383f1345c63a1e63b35ae6c79b13776")
+
+    def test_moves_tabulated_once_per_distinct_mask(self, monkeypatch):
+        sizes = []
+        spin_moves = hubbard._spin_moves
+
+        def counted(masks, table):
+            moves = spin_moves(masks, table)
+            sizes.append(moves.new.shape[0])
+            return moves
+
+        monkeypatch.setattr(hubbard, "_spin_moves", counted)
+        oracle = HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5))
+        oracle.nnz_per_column()
+        oracle.prepare()
+        basis = oracle.basis
+        assert sizes == [np.unique(basis.up_masks).size, np.unique(basis.down_masks).size]
+        assert max(sizes) < basis.dim
 
     @pytest.mark.parametrize("u", [4.0, 0.0])
     def test_nnz_per_column_counts_without_assembly(self, monkeypatch, u):
