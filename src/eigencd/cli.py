@@ -404,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--l", type=int, nargs=2, required=True, metavar=("L1", "L2"))
     p_info.add_argument("--nup", type=int, required=True)
     p_info.add_argument("--ndown", type=int, required=True)
-    # t and U are typed and defaulted by parse_hubbard's key table
-    p_info.add_argument("--t")
-    p_info.add_argument("--u")
+    # an absent t or U takes parse_hubbard's default
+    p_info.add_argument("--t", type=float)
+    p_info.add_argument("--u", type=float)
     p_info.add_argument("--max-dim", type=_positive_int, default=5_000_000)
     p_info.set_defaults(func=cmd_hubbard_info)
 

@@ -138,11 +138,10 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
     is deflated against ``v1`` and starts from the first run's second Ritz
     vector; where that vector already meets the residual target (it does on
     the 4x4 3+3 and 4+3 Hubbard sectors, 63 products in all) the run costs
-    one product instead of a cycle.
-    By the Ritz residual bound the returned value then lies within the
-    residual of an eigenvalue of the deflated operator.  A first run whose
-    last space was one vector hands nothing over, and the second run starts
-    from a random vector.
+    one product instead of a cycle, and by the Ritz residual bound its value
+    lies within that residual of an eigenvalue of the deflated operator.  A
+    first run whose last space was one vector hands nothing over, and the
+    second run starts from a random vector.
     """
     n = oracle.dim
     frob_sq = frobenius_norm_sq(oracle)
