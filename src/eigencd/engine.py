@@ -106,10 +106,11 @@ probability proportional to ``w_j = (|c_j| / max|c|)^t`` by the inverse CDF:
 with ``C`` the sequential ``cumsum`` of w and ``D = fl(r C_{n-1})`` for
 ``r = rng.random()``, j is the number of ``C_i <= D``, clipped to n - 1.
 For k draws on ``n >= k * SAMPLE_MIN_DIM`` coordinates it finds the same j
-without C.  It sums ``v`` over blocks of :data:`SAMPLE_BLOCK` (``v = |c|``
-and ``s = max|c|`` at t = 1, so that no pass divides all n scores; ``v = w``
-and ``s = 1`` otherwise), divides the running block sums by s, bisects them
-for the draw's block, and proposes j from that block's running sum.  Each
+without C.  It sums ``v`` over blocks of :data:`SAMPLE_BLOCK` in one BLAS
+product of the blocks with a vector of ones (``v = |c|`` and ``s = max|c|``
+at t = 1, so that no pass divides all n scores; ``v = w`` and ``s = 1``
+otherwise), divides the running block sums by s, bisects them for the
+draw's block, and proposes j from that block's running sum.  Each
 value ``A_i`` it then compares is the block start plus a running sum of v
 inside the block divided by s.  With
 ``u = 2^-53``, ``gamma_n = n u / (1 - n u)``, ``eta = 2^-1075`` (the largest
@@ -118,12 +119,15 @@ sums of w,
 
     |C_i - W_i| <= gamma_n W_i,   |A_i - W_i| <= (gamma_n + 3u) W_i + (n + 2) eta:
 
-C adds nonnegative terms in order, and A adds to its own summation error a
-rounding for its division by s, for the block start's addition and, at
-t = 1, for the division inside each weight, which may also each lose eta
-near underflow.  The same bounds put D, against ``m = fl(r A_{n-1})``,
-within ``m (1 +- (2 gamma_n + 6u)) +- (n + 4) eta``.  The proposed j is
-accepted only when
+C adds nonnegative terms in order.  A's block sums may add a block's terms
+in any order (BLAS picks it), but the bound ``gamma_n`` on a sum of at most
+n nonnegative terms holds for every order of addition, so it holds for A.
+A adds to its own summation error a rounding for its division by s, for the
+block start's addition and, at t = 1, for the division inside each weight,
+which may also each lose eta near underflow.  The same bounds put D,
+against ``m = fl(r A_{n-1})``, within
+``m (1 +- (2 gamma_n + 6u)) +- (n + 4) eta``.  The proposed j is accepted
+only when
 
     A_{j-1} (1 + eps) + tau < m (1 - eps) - tau,
     A_j (1 - eps) - tau > m (1 + eps) + tau,
@@ -373,8 +377,8 @@ class SolverState:
         A zero step still costs its column access.
         """
         x = self.x
-        xj_old = x[j]
-        zj_old = self.z[j]
+        xj_old = float(x[j])
+        zj_old = float(self.z[j])
         rows = self.oracle.add_column(j, alpha, self.z)
         x[j] = xj_old + alpha
         self.nu += alpha * (2.0 * xj_old + alpha)
@@ -398,8 +402,8 @@ def init_state(oracle: ColumnOracle, x0: np.ndarray,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     z = np.zeros(oracle.dim)
-    for j in np.flatnonzero(x):
-        oracle.add_column(int(j), x[j], z)
+    support = np.flatnonzero(x)
+    oracle.add_columns(support, x[support], z)
     return SolverState(oracle, x, z, rng)
 
 
@@ -488,7 +492,7 @@ def _certified_draws(values: np.ndarray, scale: float,
     """
     n = values.size  # padded: the margin only grows with n
     blocks = values.reshape(-1, SAMPLE_BLOCK)
-    ends = np.add.accumulate(np.add.reduce(blocks, axis=1))
+    ends = np.add.accumulate(blocks @ np.ones(SAMPLE_BLOCK))
     ends /= scale
     total = float(ends[-1])
     if not math.isfinite(total):
@@ -710,8 +714,7 @@ def _vec_ls_direction(state: SolverState, omega: np.ndarray):
     x, z, nu = state.x, state.z, state.nu
     v = 4.0 * (nu * x[omega] - z[omega])
     w = np.zeros(state.dim)
-    for vj, j in zip(v, omega):
-        state.oracle.add_column(int(j), vj, w)
+    state.oracle.add_columns(omega, v, w)
     nv2 = float(v @ v)
     if nv2 == 0.0:
         return 0.0, v, w
@@ -756,6 +759,17 @@ def step(state: SolverState, config: StrategyConfig) -> None:
     if config.pick == "pm":
         power_method_step(state)
         return
+    if config.update == "coord_ls" and config.k == 1 and config.pick != "greedy_ls":
+        # one coordinate, on Python floats: no one-element arrays
+        if config.pick == "cyclic":
+            j = pick_cyclic(state)
+        elif config.pick == "gauss_southwell":
+            j = pick_gauss_southwell(state)
+        else:
+            j = int(pick_grad_power(state, config.t, 1, config.with_replacement)[0])
+        state.apply_coordinate_delta(j, solve_cubic_min(coord_cubic(state, j)))
+        state.ell += 1
+        return
     if config.pick == "cyclic":
         indices = np.array([pick_cyclic(state)])
     elif config.pick == "gauss_southwell":
@@ -788,6 +802,10 @@ def step(state: SolverState, config: StrategyConfig) -> None:
 def power_method_step(state: SolverState) -> None:
     """One power iteration, paid column by column (n accesses).
 
+    ``w = A u`` comes from one :meth:`ColumnOracle.add_columns` call over
+    every column: one ``column()`` call and one access per column, with the
+    arithmetic in bulk and w the column-by-column loop's bit for bit.
+
     The stored iterate is the Rayleigh-scaled current direction, so the
     cached ``nu`` doubles as the eigenvalue estimate and the objective gap
     formula applies unchanged; ``z`` holds the unnormalized next direction.
@@ -797,11 +815,8 @@ def power_method_step(state: SolverState) -> None:
     if norm == 0.0:
         raise PowerIterationBreakdown("iterate vanished")
     u = src / norm
-    n = state.dim
-    w = np.zeros(n)
-    oracle = state.oracle
-    for j in range(n):
-        oracle.add_column(j, u[j], w)
+    w = np.zeros(state.dim)
+    state.oracle.add_columns(np.arange(state.dim), u, w)
     wnorm = float(np.sqrt(w @ w))
     if wnorm == 0.0:
         raise PowerIterationBreakdown("A x vanished")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -986,3 +988,82 @@ class TestStepsizeBound:
         for _ in range(20_000):
             step(state, config)
             assert np.abs(state.x).max() < r
+
+
+# Recorded from the column-by-column power step and the one-element-array
+# k = 1 step that the bulk add_columns and the scalar step replaced; both
+# must reproduce them bit for bit.  A power pin is float.hex(nu) and the
+# head of sha256(z.tobytes()) after each step; a run pin is (status,
+# iterations, accesses, float.hex(final_nu), the PCG64 state at the end).
+POWER_PINS = {
+    "hubbard": [("0x1.0000000000000p+0", "aef1fd5f8cd3ed6f"),
+                ("0x1.0000000000000p+0", "c29a15ed3df264b2"),
+                ("0x1.0000000000000p+0", "100fac0e964c8ab9"),
+                ("0x1.0000000000000p+0", "710f83a6cffd9479"),
+                ("0x1.0000000000000p+0", "99ef2c0f46468e49")],
+    "dense": [("0x1.1d9b43bc20614p+2", "56b61087f77a2fe1"),
+              ("0x1.b7ebb7b9f18a2p+2", "e96372f87955f5eb"),
+              ("0x1.1ffea9cdafe1ap+3", "a97ff2df44060308"),
+              ("0x1.574ef66f3e1a1p+3", "29b388b11a82991e"),
+              ("0x1.720510de0c28cp+3", "4170d2706eb08a9f")],
+}
+UNUSED_PCG64 = 142231634183583599241308901332361415022  # seed 11, no draws
+RUN_PINS = {
+    ("hubbard", "SCD-Grad-LS(1)"): ("converged", 3062, 3063, "0x1.bbf5c367e8a0cp+6",
+                                    65646466946615298343768935717213647140),
+    ("hubbard", "GCD-Grad-LS"): ("converged", 1481, 1482, "0x1.bbf65ab8f54b2p+6",
+                                 UNUSED_PCG64),
+    ("hubbard", "CD-Cyc-LS"): ("converged", 36204, 36205, "0x1.bbf70b37dcb95p+6",
+                               UNUSED_PCG64),
+    ("dense", "SCD-Grad-LS(1)"): ("converged", 17449, 17450, "0x1.affff5f93e064p+6",
+                                  180581474444645197205556086476560705817),
+    ("dense", "GCD-Grad-LS"): ("converged", 9069, 9070, "0x1.b0000879b345cp+6",
+                               UNUSED_PCG64),
+    ("dense", "CD-Cyc-LS"): ("converged", 17588, 17589, "0x1.afff961e2b699p+6",
+                             UNUSED_PCG64),
+}
+
+
+def _power_oracle(kind):
+    if kind == "hubbard":
+        return HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)), 3
+    return build_synthetic(SpectrumSpec.gapped_grid(40, 12.0, 0.5, 8.0, seed=3)), 4
+
+
+@pytest.mark.parametrize("kind", sorted(POWER_PINS))
+def test_power_steps_pinned(kind):
+    oracle, seed = _power_oracle(kind)
+    x0 = np.random.default_rng(seed).standard_normal(oracle.dim)
+    state = init_state(oracle, x0, rng=0)
+    pins = []
+    for _ in range(5):
+        power_method_step(state)
+        pins.append((float(state.nu).hex(),
+                     hashlib.sha256(state.z.tobytes()).hexdigest()[:16]))
+    assert pins == POWER_PINS[kind]
+
+
+@pytest.fixture(scope="module", params=["dense", "hubbard"])
+def pinned_problem(request):
+    if request.param == "hubbard":
+        oracle, x0 = _hubbard(4, 2, 2, 2, 100.0)
+    else:
+        oracle = build_synthetic(SpectrumSpec.gapped_grid(500, 108.0, 1.0, 100.0, seed=42))
+        x0 = np.eye(500)[0]
+    return request.param, oracle, x0, compute_reference(oracle)
+
+
+@pytest.mark.parametrize("method", ["SCD-Grad-LS(1)", "GCD-Grad-LS", "CD-Cyc-LS"])
+def test_one_coordinate_runs_pinned(pinned_problem, method, monkeypatch):
+    kind, oracle, x0, reference = pinned_problem
+    states = []
+
+    def capture(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(harness, "init_state", capture)
+    out = harness.run_single(oracle, parse_method(method), x0, 1e-5, 10**6, 11, reference)
+    got = (out.status, out.iterations, out.col_accesses, float(out.final_nu).hex(),
+           states[0].rng.bit_generator.state["state"]["state"])
+    assert got == RUN_PINS[kind, method]

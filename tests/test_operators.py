@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eigencd import operators
 from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
                                column_abs_sum_max, column_norm_max,
@@ -14,6 +15,13 @@ class NonzerosOnly(DenseSymmetric):
     def _column(self, j):
         rows = np.flatnonzero(self._a[:, j])
         return rows, self._a[rows, j]
+
+
+class MixedColumns(NonzerosOnly):
+    """Even columns served dense, odd ones as their nonzero entries."""
+
+    def _column(self, j):
+        return (None, self._a[j]) if j % 2 == 0 else super()._column(j)
 
 
 def dense_from_columns(oracle):
@@ -134,6 +142,7 @@ CONTRACT_ORACLES = {
         build_synthetic(SpectrumSpec.gapped_grid(12, 6.0, 0.5, 4.0, seed=7)), -1.5, 4.0),
     "shift-sparse-no-diag": lambda: shift_scale(_sparse_without_diagonal(), 2.0, 3.0),
     "hubbard": lambda: HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)),
+    "mixed": lambda: MixedColumns(_sparse_without_diagonal().array + np.eye(12)),
 }
 
 
@@ -219,6 +228,48 @@ class TestAddColumnContract:
         for j in range(n):
             contract_oracle.add_column(j, 1.0, strided[:, j])
         np.testing.assert_allclose(strided, dense, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_add_columns_is_the_add_column_loop(self, contract_oracle, monkeypatch, chunk):
+        # repeated indices, zero coefficients of both signs, and (at the
+        # default chunk, on sparse columns) more nonzeros than one chunk holds
+        if chunk is not None:
+            monkeypatch.setattr(operators, "ADD_CHUNK_NNZ", chunk)
+        n = contract_oracle.dim
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, n, size=4000)
+        coeffs = rng.standard_normal(idx.size)
+        coeffs[rng.random(idx.size) < 0.2] = 0.0
+        coeffs[::97] = -0.0
+        with contract_oracle.counting_paused():
+            rows = [contract_oracle.column(j)[0] for j in idx.tolist()]
+        if chunk is None and all(r is not None for r in rows):
+            assert sum(r.size for r in rows) > 2 * operators.ADD_CHUNK_NNZ
+        start = rng.standard_normal(n)
+        expect = start.copy()
+        for j, c in zip(idx.tolist(), coeffs.tolist()):
+            contract_oracle.add_column(j, c, expect)
+
+        got = start.copy()
+        reads = []
+        column = contract_oracle.column
+        monkeypatch.setattr(contract_oracle, "column",
+                            lambda j: reads.append(j) or column(j))
+        before = contract_oracle.access_count
+        contract_oracle.add_columns(idx, coeffs, got)
+        assert got.tobytes() == expect.tobytes()
+        assert reads == idx.tolist()
+        assert contract_oracle.access_count - before == idx.size
+
+    def test_add_columns_charges_zero_coefficients(self, contract_oracle):
+        n = contract_oracle.dim
+        out = np.random.default_rng(12).standard_normal(n)
+        start = out.tobytes()
+        before = contract_oracle.access_count
+        contract_oracle.add_columns(np.r_[0:n, 0:n], np.zeros(2 * n), out)
+        contract_oracle.add_columns([], [], out)
+        assert contract_oracle.access_count - before == 2 * n
+        assert out.tobytes() == start
 
 
 class TestStreamingPasses:
