@@ -759,7 +759,7 @@ def step(state: SolverState, config: StrategyConfig) -> None:
     if config.pick == "pm":
         power_method_step(state)
         return
-    if config.update == "coord_ls" and config.k == 1 and config.pick != "greedy_ls":
+    if config.k == 1 and config.update != "vec_ls" and config.pick != "greedy_ls":
         # one coordinate, on Python floats: no one-element arrays
         if config.pick == "cyclic":
             j = pick_cyclic(state)
@@ -767,14 +767,14 @@ def step(state: SolverState, config: StrategyConfig) -> None:
             j = pick_gauss_southwell(state)
         else:
             j = int(pick_grad_power(state, config.t, 1, config.with_replacement)[0])
-        state.apply_coordinate_delta(j, solve_cubic_min(coord_cubic(state, j)))
+        if config.update == "fixed_grad":
+            delta = -config.gamma * 4.0 * (state.nu * float(state.x[j]) - float(state.z[j]))
+        else:
+            delta = solve_cubic_min(coord_cubic(state, j))
+        state.apply_coordinate_delta(j, delta)
         state.ell += 1
         return
-    if config.pick == "cyclic":
-        indices = np.array([pick_cyclic(state)])
-    elif config.pick == "gauss_southwell":
-        indices = np.array([pick_gauss_southwell(state)])
-    elif config.pick == "all":
+    if config.pick == "all":
         indices = np.arange(state.dim)
     elif config.pick == "greedy_ls":
         indices, deltas = pick_greedy_ls(state, config.k)

@@ -111,8 +111,9 @@ class ColumnOracle(ABC):
             if coeff == 0.0:
                 continue
             if rows is None:
-                _scatter(chunk, out)
-                held = 0
+                if chunk:
+                    _scatter(chunk, out)
+                    held = 0
                 out += coeff * vals
                 continue
             chunk.append((rows, vals, coeff))
