@@ -8,8 +8,7 @@ from .harness import (ExperimentResult, ReferenceSolution, RunStats, TraceRecord
                       compute_reference, emit_trace, eps_obj, eps_tan,
                       projected_energy, run_experiment)
 from .hubbard import (Determinant, HubbardOracle, LatticeSpec, MomentumBasis,
-                      dispersion, enumerate_sector, ground_state_reference,
-                      hamiltonian_column, hf_determinant)
+                      enumerate_sector, hamiltonian_column, hf_determinant)
 from .operators import (ColumnOracle, DenseSymmetric, SpectrumSpec,
                         build_synthetic, column_norm_max, frobenius_norm_sq,
                         load_dense, save_dense, shift_scale)

@@ -18,14 +18,24 @@ tabulated once per distinct up mask and once per distinct down mask of the
 basis (560 of each at 4x4 3+3, against 19,600 columns): the new mask, the
 Jordan-Wigner parity and whether the destination is empty, for every
 (occupied orbital, transfer).  The entries per column are then one product
-of the two spins' allowed-move counts, summed over the transfer.  One
-kernel, :func:`_column_kernel`, builds a block of columns at once: it
-gathers each column's rows of the two tables and pairs them into one array
-over (column, occupied up orbital, occupied down orbital, transfer), and
-each target determinant is found by ``np.searchsorted`` on the basis'
-sorted keys ``(up << n_orb) | down``.  :meth:`HubbardOracle.prepare` runs
-the kernel block by block into the CSC arrays; :func:`hamiltonian_column`
-runs it on one column, independently of any assembled matrix.
+of the two spins' allowed-move counts, summed over the transfer.
+
+Rows are found by arithmetic, not by search, as in the string addressing of
+determinant FCI (Knowles & Handy, Chem. Phys. Lett. 1984).  The sector is a
+union of whole products: every up mask of one momentum pairs with every
+down mask of the complementary momentum, sorted by (up, down).  So
+determinant (u, d) is row ``start[u] + rank[d]``, and
+:attr:`MomentumBasis.addressing` turns each tabulated move's new mask into
+its part of that sum once per distinct mask, after checking that structure.
+One kernel, :func:`_column_kernel`, builds a block of columns at once: it
+gathers each column's rows of the move tables, pairs them into one array
+over (column, occupied up orbital, occupied down orbital, transfer), adds
+the two parts of each target's row, and sorts the block by (column, row).
+:meth:`HubbardOracle.prepare` runs the kernel block by block into the CSC
+arrays; :func:`hamiltonian_column` runs it on one column, independently of
+any assembled matrix.  Products run through the CSR view of the same arrays,
+and the diagonal positions a shift wrapper needs come from one pass over
+them.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -49,8 +59,11 @@ from .operators import Column, ColumnOracle
 DEFAULT_SECTOR_CAP = 5_000_000
 MAX_ORBITALS = 31  # two masks of this many bits pack into one int64 key
 _EPS_QUANTUM = 1e-9
-# Columns per kernel call in prepare(): large enough to amortise numpy call
-# overhead, small enough that the block's candidate arrays stay a few MB.
+# Columns per kernel call in prepare(), and per block of the diagonal
+# position pass: large enough to amortise numpy call overhead, small enough
+# that a block's scratch arrays stay near 1 MB.  prepare()'s kernel loop on
+# 4x4 3+3 / 4+3, minimum of 3, 2-CPU x86 VM, by block: 128 columns 43 /
+# 176 ms, 256 38 / 158, 512 37 / 199, 1024 52 / 155.
 _BLOCK_COLUMNS = 256
 
 
@@ -137,13 +150,6 @@ class LatticeSpec:
         return m1 % self.l1, m2 % self.l2
 
 
-def dispersion(spec: LatticeSpec, k_index: int) -> float:
-    """Single-particle energy of momentum orbital ``k_index``."""
-    if not 0 <= k_index < spec.n_orb:
-        raise IndexError(f"orbital index {k_index} out of range for {spec.n_orb} orbitals")
-    return float(spec.dispersions[k_index])
-
-
 def _occupied(mask: int, n_orb: int) -> list[int]:
     return [p for p in range(n_orb) if mask >> p & 1]
 
@@ -219,6 +225,52 @@ class MomentumBasis:
         """Down moves ``k -> k + q``, ``q != 0``, per distinct down mask."""
         return _spin_moves(self.down_masks, self.spec._transfer_tables[1])
 
+    @cached_property
+    def addressing(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row of every move's target, in two parts shaped like ``SpinMoves.new``.
+
+        A whole momentum sector sorted by (up, down) pairs each up mask u with
+        every down mask of the complementary momentum, so determinant (u, d)
+        is row ``start[u] + rank[d]``: ``start[u]`` is u's first row and
+        ``rank[d]`` is d's place among the down masks of its momentum.  The
+        up part of a move is ``start`` of its target and the down part
+        ``rank`` of its target (0 where the move is not allowed), so a paired
+        move's row is one add.  Raises ``KeyError`` unless the basis is such
+        a union of whole products and every move that pairs with a move of
+        the other spin lands on masks of the basis.
+        """
+        spec, up, dn = self.spec, self.up_moves, self.down_moves
+        start = np.searchsorted(up.index, np.arange(up.masks.size))
+        rank = np.empty(dn.masks.size, dtype=np.intp)
+        rank[dn.index] = np.arange(self.dim) - start[up.index]
+        u1, u2 = _momenta(spec, up.masks)
+        d1, d2 = _momenta(spec, dn.masks)
+        t1, t2 = self.sector_momentum
+        partner = (t1 - u1) % spec.l1 + spec.l1 * ((t2 - u2) % spec.l2)
+        code = d1 + spec.l1 * d2
+        whole = (np.array_equal(code[dn.index], partner[up.index])
+                 and np.array_equal(np.bincount(up.index),
+                                    np.bincount(code, minlength=spec.n_orb)[partner]))
+        parts, stray = [], []
+        for moves, part in ((up, start), (dn, rank)):
+            at = np.searchsorted(moves.masks, moves.new).clip(max=moves.masks.size - 1)
+            found = moves.masks[at] == moves.new
+            parts.append(np.where(moves.allowed & found, part[at], 0).astype(np.int32))
+            stray.append((moves.allowed & ~found).any(axis=1))
+        # momentum is conserved, so in such a union a paired move whose two
+        # target masks are in the basis lands on a determinant of the basis
+        paired = up.allowed.any(axis=1)[up.index] & dn.allowed.any(axis=1)[dn.index]
+        if not whole or np.any(paired & (stray[0][up.index] | stray[1][dn.index])):
+            raise KeyError("a Hamiltonian move left the basis: is it a whole momentum sector?")
+        return parts[0], parts[1]
+
+
+def _momenta(spec: LatticeSpec, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each mask's momentum, as :meth:`LatticeSpec.momentum_of` gives it."""
+    r2, r1 = np.divmod(np.arange(spec.n_orb), spec.l1)
+    bits = (masks[:, None] >> np.arange(spec.n_orb)) & 1
+    return bits @ r1 % spec.l1, bits @ r2 % spec.l2
+
 
 def _spin_masks_by_momentum(spec: LatticeSpec, count: int) -> dict[tuple[int, int], list[int]]:
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -251,12 +303,6 @@ def _sector_blocks(spec: LatticeSpec):
     return (tgt1, tgt2), blocks
 
 
-def sector_dimension(spec: LatticeSpec) -> int:
-    """Dimension of the HF momentum sector without materializing it."""
-    _, blocks = _sector_blocks(spec)
-    return sum(len(ups) * len(downs) for ups, downs in blocks)
-
-
 def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> MomentumBasis:
     """Enumerate the total-momentum block of the HF determinant."""
     momentum, blocks = _sector_blocks(spec)
@@ -275,11 +321,13 @@ def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> Mo
 class SpinMoves(NamedTuple):
     """One spin's moves, tabulated per distinct mask of a basis.
 
-    ``index[j]`` is the table row of column ``j``'s mask; ``new``, ``parity``
-    and ``allowed`` are shaped (distinct masks, occupied orbitals, transfer
+    ``masks`` are the distinct masks, ascending, and ``index[j]`` is the
+    table row of column ``j``'s mask; ``new``, ``parity`` and ``allowed``
+    are shaped (distinct masks, occupied orbitals, transfer
     ``q = 1 .. n_orb-1``).
     """
 
+    masks: np.ndarray
     index: np.ndarray
     new: np.ndarray
     parity: np.ndarray
@@ -303,7 +351,7 @@ def _spin_moves(masks: np.ndarray, table: np.ndarray) -> SpinMoves:
     # below(dest), one fewer if the electron left from under dest
     parity = ((below[rows, occ] + below[rows, dest] - (occ < dest)) & 1) == 1
     new = (masks[:, None, None] ^ (1 << occ)) | (1 << dest)
-    return SpinMoves(index.astype(np.min_scalar_type(masks.size)), new, parity, allowed)
+    return SpinMoves(masks, index.astype(np.min_scalar_type(masks.size)), new, parity, allowed)
 
 
 def _column_counts(spec: LatticeSpec, basis: MomentumBasis) -> np.ndarray:
@@ -329,35 +377,37 @@ def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) ->
     ``rows`` and ``vals``, ascending by row.  Off-diagonal entries come from the moves
     ``p -> p - q`` (up) with ``k -> k + q`` (down), ``q != 0``, gathered from
     the basis' per-mask tables for the whole block as one array over
-    (column, p, k, q).
+    (column, p, k, q); each target's row is the sum of its two spins' parts
+    in :attr:`MomentumBasis.addressing`.
     """
-    n_orb = spec.n_orb
     diag = basis.diagonal[lo:hi]
-    amp = spec.u / n_orb
+    amp = spec.u / spec.n_orb
     if amp == 0.0:
         return np.arange(lo, hi), diag.copy()
     up, dn = basis.up_moves, basis.down_moves
+    up_row, dn_row = basis.addressing
     ui, di = up.index[lo:hi], dn.index[lo:hi]
-    up_new, up_par, up_ok = up.new[ui], up.parity[ui], up.allowed[ui]
-    dn_new, dn_par, dn_ok = dn.new[di], dn.parity[di], dn.allowed[di]
-    ok = up_ok[:, :, None, :] & dn_ok[:, None, :, :]
+    ok = up.allowed[ui][:, :, None, :] & dn.allowed[di][:, None, :, :]
     counts = ok.sum(axis=(1, 2, 3)) + 1
-    keys = np.concatenate([((up_new[:, :, None, :] << n_orb) | dn_new[:, None, :, :])[ok],
-                           basis.keys[lo:hi]])
-    vals = np.concatenate([
-        np.where((up_par[:, :, None, :] ^ dn_par[:, None, :, :])[ok], -amp, amp), diag])
-    # the narrowest column type lets the stable sort below run as a radix sort
-    cols = np.arange(hi - lo, dtype=np.min_scalar_type(hi - lo))
-    col_of = np.concatenate([np.repeat(cols, counts - 1), cols])
-    # searching with sorted keys keeps the binary search in cache; a stable
-    # sort by column then leaves each column ascending by key, hence by row
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    rows = np.searchsorted(basis.keys, keys)
-    if not np.array_equal(basis.keys.take(rows, mode="clip"), keys):
-        raise KeyError("a Hamiltonian move left the basis: is it a whole momentum sector?")
-    by_col = np.argsort(col_of[by_key], kind="stable")
-    return rows[by_col], vals[by_key[by_col]]
+    # Each spin's part enters as 4 * part + parity, so one add gives
+    # 4 * row + (odd parities), whose low bit is the sign; the diagonal is
+    # tagged 3, which no two parities sum to.  A column holds each row once,
+    # so sorting (column, that sum) is the one order that groups the block
+    # by column, ascending by row.
+    span = 4 * basis.dim
+    dtype = np.int32 if span * (hi - lo) < 2**31 else np.int64
+    up_key = 4 * up_row[ui].astype(dtype) + up.parity[ui]
+    dn_key = 4 * dn_row[di].astype(dtype) + dn.parity[di]
+    cols = np.arange(hi - lo, dtype=dtype) * span
+    key = np.concatenate([
+        (up_key[:, :, None, :] + dn_key[:, None, :, :]).ravel().take(np.flatnonzero(ok))
+        + np.repeat(cols, counts - 1),
+        cols + 4 * np.arange(lo, hi, dtype=dtype) + 3])
+    key.sort()
+    key -= np.repeat(cols, counts)
+    vals = np.array([amp, -amp]).take(key & 1)
+    vals[(key & 3) == 3] = diag
+    return key >> 2, vals
 
 
 def hamiltonian_column(spec: LatticeSpec, basis: MomentumBasis, j: int) -> Column:
@@ -417,8 +467,29 @@ class HubbardOracle(ColumnOracle):
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``H @ x`` through the CSR view of the CSC arrays (``_csc.T``, no copy).
+
+        H is exactly symmetric, so row i of the view is column i: each row
+        sums its terms in the column order of ``_csc @ x``, bit for bit, but
+        the product gathers from x where the CSC one scatters into the result.
+        """
         self.prepare()
-        return self._csc @ x
+        return self._csc.T @ x
+
+    def diagonal_positions(self) -> np.ndarray:
+        """Each column's diagonal position, read from the CSC a block of
+        columns at a time, which bounds the pass' scratch arrays."""
+        self.prepare()
+        indptr, indices = self._csc.indptr, self._csc.indices
+        out = np.full(self.dim, -1, dtype=np.int64)
+        for lo in range(0, self.dim, _BLOCK_COLUMNS):
+            hi = min(lo + _BLOCK_COLUMNS, self.dim)
+            rows = indices[indptr[lo]:indptr[hi]]
+            at = np.flatnonzero(rows == np.repeat(np.arange(lo, hi, dtype=rows.dtype),
+                                                  np.diff(indptr[lo:hi + 1])))
+            col = rows[at]  # a diagonal entry's row is its column
+            out[col] = at + indptr[lo] - indptr[col]
+        return out
 
     def nnz_per_column(self) -> np.ndarray:
         """Entries per column: read from the CSC once it exists, otherwise
@@ -426,23 +497,6 @@ class HubbardOracle(ColumnOracle):
         if self._csc is not None:
             return np.diff(self._csc.indptr)
         return _column_counts(self.spec, self.basis)
-
-
-def ground_state_reference(spec: LatticeSpec, oracle: HubbardOracle | None = None,
-                           shift: float = 100.0) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and eigenvector of H via the harness eigensolver.
-
-    Runs on ``shift*I - H`` so the ground state becomes the leading
-    eigenpair of a positive definite operator; returns
-    ``(shift - lambda_max(shift*I - H), v)``.
-    """
-    from .harness import compute_reference
-    from .operators import shift_scale
-
-    if oracle is None:
-        oracle = HubbardOracle(spec)
-    ref = compute_reference(shift_scale(oracle, -1.0, shift))
-    return shift - ref.lambda1, ref.v1
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,21 @@ class ColumnOracle(ABC):
         """Diagonal entry ``A[j, j]``; never counted."""
         return float(self.diagonal[j])
 
+    def diagonal_positions(self) -> np.ndarray:
+        """Where each column stores ``A[j, j]``, uncounted: j for a dense
+        column, its place among a sparse column's rows, -1 when it stores
+        none.  Searches one column at a time; an oracle that holds its
+        columns in bulk can answer in one pass."""
+        out = np.empty(self._dim, dtype=np.int64)
+        for j in range(self._dim):
+            rows, _ = self._column(j)
+            at = j
+            if rows is not None:
+                at = int(np.searchsorted(rows, j))
+                at = at if at < rows.size and rows[at] == j else -1
+            out[j] = at
+        return out
+
     def prepare(self) -> None:
         """Optional expensive setup (e.g. sparse assembly); uncounted."""
 
@@ -247,9 +262,9 @@ def build_synthetic(spec: SpectrumSpec) -> DenseSymmetric:
 class ShiftScaled(ColumnOracle):
     """Lazy ``a * M + b * I`` over a wrapped oracle.
 
-    The first read of a column records where the base column stores its
-    diagonal entry (j for a dense column, -1 when it stores none), so later
-    reads add the shift without a search.
+    :meth:`prepare` reads where every base column stores its diagonal entry
+    (:meth:`ColumnOracle.diagonal_positions`) once, so a column read adds the
+    shift without a search; the first column read prepares if nothing did.
     """
 
     def __init__(self, base: ColumnOracle, a: float, b: float):
@@ -257,22 +272,18 @@ class ShiftScaled(ColumnOracle):
         self._base = base
         self._a = float(a)
         self._b = float(b)
-        self._diag_pos: list[int | None] = [None] * base.dim  # None: not yet read
+        self._diag_pos: list[int] | None = None
 
     @property
     def base(self) -> ColumnOracle:
         return self._base
 
     def _column(self, j: int) -> Column:
+        if self._diag_pos is None:
+            self.prepare()
         rows, vals = self._base._column(j)
         out = self._a * vals
         pos = self._diag_pos[j]
-        if pos is None:  # first read: a dense column holds A_jj at j
-            pos = j
-            if rows is not None:
-                at = int(np.searchsorted(rows, j))
-                pos = at if at < rows.size and rows[at] == j else -1
-            self._diag_pos[j] = pos
         if pos >= 0:
             out[pos] += self._b
             return rows, out
@@ -284,6 +295,8 @@ class ShiftScaled(ColumnOracle):
 
     def prepare(self) -> None:
         self._base.prepare()
+        if self._diag_pos is None:
+            self._diag_pos = self._base.diagonal_positions().tolist()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from eigencd import harness, hubbard
 from eigencd.harness import DENSE_REFERENCE_CUTOFF, compute_reference
 from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
                              LatticeSpec, MomentumBasis, SectorInfo,
-                             SectorTooLarge, dispersion, enumerate_sector,
-                             ground_state_reference, hamiltonian_column,
-                             hf_determinant, sector_dimension, sector_info)
+                             SectorTooLarge, enumerate_sector,
+                             hamiltonian_column, hf_determinant, sector_info)
 from eigencd.operators import shift_scale
 
 
@@ -28,6 +28,14 @@ def refuse_assembly(*args):
     raise AssertionError("the sector was assembled")
 
 
+def csc_sha256(csc):
+    """SHA-256 of a CSC's indptr, indices and data in fixed dtypes."""
+    digest = hashlib.sha256()
+    for array, dtype in ((csc.indptr, "<i8"), (csc.indices, "<i8"), (csc.data, "<f8")):
+        digest.update(np.asarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
 def dense_sector_matrix(oracle):
     n = oracle.dim
     h = np.zeros((n, n))
@@ -40,19 +48,21 @@ def dense_sector_matrix(oracle):
 
 class TestDispersion:
     def test_band_bottom(self, spec44):
-        assert dispersion(spec44, 0) == pytest.approx(-4.0)
+        assert spec44.dispersions[0] == pytest.approx(-4.0)
 
     def test_band_top(self, spec44):
         # orbital (2, 2) has k = (pi, pi)
-        assert dispersion(spec44, 2 + 4 * 2) == pytest.approx(4.0)
+        assert spec44.dispersions[2 + 4 * 2] == pytest.approx(4.0)
 
     def test_quarter_momentum(self, spec44):
         # orbital (1, 0) has k = (pi/2, 0)
-        assert dispersion(spec44, 1) == pytest.approx(-2.0)
+        assert spec44.dispersions[1] == pytest.approx(-2.0)
 
     def test_out_of_range(self, spec44):
+        # one energy per orbital, so there is no orbital 16 on a 4x4 lattice
+        assert spec44.dispersions.shape == (16,)
         with pytest.raises(IndexError):
-            dispersion(spec44, 16)
+            spec44.dispersions[16]
 
 
 class TestHartreeFock:
@@ -69,7 +79,7 @@ class TestHartreeFock:
         spec = LatticeSpec(l1=4, l2=4, n_up=5, n_down=5)
         det = hf_determinant(spec)
         assert det.up == det.down == 0x101B  # bits {0, 1, 3, 4, 12}: (0,0) + full -2 shell
-        kinetic = sum(dispersion(spec, p) for p in range(16) if det.up >> p & 1)
+        kinetic = sum(spec.dispersions[p] for p in range(16) if det.up >> p & 1)
         assert kinetic == pytest.approx(-12.0)
 
 
@@ -89,7 +99,7 @@ class TestSectorEnumeration:
 
     def test_ten_electron_dimension_counted(self):
         spec = LatticeSpec(l1=4, l2=4, n_up=5, n_down=5)
-        assert sector_dimension(spec) == 1_192_464
+        assert enumerate_sector(spec).dim == 1_192_464
 
     def test_cap_guard(self, spec44):
         with pytest.raises(SectorTooLarge):
@@ -128,6 +138,15 @@ class TestSectorEnumeration:
         with pytest.raises(KeyError, match="left the basis"):
             for j in range(partial.dim):
                 hamiltonian_column(basis.spec, partial, j)
+
+    def test_kernel_refuses_a_basis_missing_a_whole_up_mask(self, small_oracle):
+        # still a union of whole products, but moves lead to the missing mask
+        basis = small_oracle.basis
+        keep = basis.up_masks != basis.state(small_oracle.hf_index).up
+        partial = MomentumBasis(basis.spec, basis.sector_momentum,
+                                basis.up_masks[keep], basis.down_masks[keep])
+        with pytest.raises(KeyError, match="left the basis"):
+            hamiltonian_column(basis.spec, partial, 0)
 
     def test_widest_lattice_packs_its_keys(self):
         oracle = HubbardOracle(LatticeSpec(l1=MAX_ORBITALS, l2=1, n_up=1, n_down=2))
@@ -181,9 +200,9 @@ class TestHamiltonianColumn:
         basis = small_oracle.basis
         for i in range(basis.dim):
             det = basis.state(i)
-            kin = sum(dispersion(spec, p) for p in range(spec.n_orb)
+            kin = sum(spec.dispersions[p] for p in range(spec.n_orb)
                       if det.up >> p & 1)
-            kin += sum(dispersion(spec, p) for p in range(spec.n_orb)
+            kin += sum(spec.dispersions[p] for p in range(spec.n_orb)
                        if det.down >> p & 1)
             expect = spec.t_hop * kin + spec.u / spec.n_orb * spec.n_up * spec.n_down
             assert small_oracle.diag(i) == pytest.approx(expect, abs=1e-12)
@@ -195,9 +214,9 @@ class TestHamiltonianColumn:
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         # non-interacting ground energy: best occupation within the sector
         best = min(oracle.diag(i) for i in range(oracle.dim))
-        kin = [sum(dispersion(spec, p) for p in range(4) if m >> p & 1)
+        kin = [sum(spec.dispersions[p] for p in range(4) if m >> p & 1)
                for m in (oracle.basis.state(i).up for i in range(oracle.dim))]
-        kin2 = [sum(dispersion(spec, p) for p in range(4) if m >> p & 1)
+        kin2 = [sum(spec.dispersions[p] for p in range(4) if m >> p & 1)
                 for m in (oracle.basis.state(i).down for i in range(oracle.dim))]
         assert best == pytest.approx(1.5 * min(a + b for a, b in zip(kin, kin2)))
 
@@ -276,6 +295,52 @@ class TestOracle:
         assert digest.hexdigest() == (
             "bcc92dc8dfcd015b38eee6d5211b284b8383f1345c63a1e63b35ae6c79b13776")
 
+    def test_larger_assembly_pinned_bit_for_bit(self):
+        # 4x4 4+3 (dim 63,700) as the search-based kernel assembled it
+        oracle = HubbardOracle(LatticeSpec(l1=4, l2=4, n_up=4, n_down=3))
+        oracle.prepare()
+        assert oracle._csc.nnz == 8_013_460
+        assert csc_sha256(oracle._csc) == (
+            "568cf04676d62d4d3e157644b01e5f425166a5b4c39404ccda332aa8ac7e2e4b")
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(l1=4, l2=4, n_up=3, n_down=3),
+        LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5),
+        LatticeSpec(l1=2, l2=2, n_up=2, n_down=2),
+        LatticeSpec(l1=3, l2=2, n_up=2, n_down=1, u=0.0),
+    ], ids=["4x4-3+3", "3x3-2+3", "2x2-2+2", "3x2-free"])
+    def test_matvec_is_the_csc_product_bit_for_bit(self, spec):
+        oracle = HubbardOracle(spec)
+        x = np.random.default_rng(31).standard_normal(oracle.dim)
+        assert oracle.matvec(x).tobytes() == (oracle._csc @ x).tobytes()
+
+    def test_reference_same_through_either_product(self, spec44, monkeypatch):
+        oracle = HubbardOracle(spec44)
+        via_csr = compute_reference(shift_scale(oracle, -1.0, 100.0))
+        monkeypatch.setattr(HubbardOracle, "matvec", lambda self, x: self._csc @ x)
+        via_csc = compute_reference(shift_scale(oracle, -1.0, 100.0))
+        assert via_csr.source == via_csc.source == "lanczos"
+        assert via_csr.lambda1.hex() == via_csc.lambda1.hex()
+        assert via_csr.v1.tobytes() == via_csc.v1.tobytes()
+
+    @pytest.mark.skipif(not os.environ.get("EIGENCD_EXTENDED"),
+                        reason="set EIGENCD_EXTENDED=1 for the 4x4 4+4 stress sector")
+    def test_stress_sector_structure_and_reference(self):
+        spec = LatticeSpec(l1=4, l2=4, n_up=4, n_down=4)
+        oracle = HubbardOracle(spec)
+        oracle.prepare()
+        csc = oracle._csc
+        assert oracle.dim == 207_168 and csc.nnz == 32_051_520
+        sample = np.random.default_rng(44).choice(oracle.dim, 40, replace=False).tolist()
+        for j in sample + [0, oracle.hf_index, oracle.dim - 1]:
+            rows, vals = hamiltonian_column(spec, oracle.basis, j)
+            lo, hi = csc.indptr[j], csc.indptr[j + 1]
+            assert rows.tolist() == csc.indices[lo:hi].tolist()
+            assert vals.tobytes() == csc.data[lo:hi].tobytes()
+        ref = compute_reference(shift_scale(oracle, -1.0, 100.0))
+        energy, v = 100.0 - ref.lambda1, ref.v1
+        assert np.linalg.norm(oracle.matvec(v) - energy * v) < 1e-7 * abs(energy)
+
     def test_moves_tabulated_once_per_distinct_mask(self, monkeypatch):
         sizes = []
         spin_moves = hubbard._spin_moves
@@ -334,7 +399,8 @@ class TestGroundState:
     def test_small_lattice_against_dense(self, small_oracle):
         h = dense_sector_matrix(small_oracle)
         vals = np.linalg.eigvalsh(h)
-        energy, vec = ground_state_reference(small_oracle.spec, oracle=small_oracle)
+        ref = compute_reference(shift_scale(small_oracle, -1.0, 100.0))
+        energy, vec = 100.0 - ref.lambda1, ref.v1
         assert energy == pytest.approx(vals[0], abs=1e-8)
         resid = np.linalg.norm(h @ vec - energy * vec)
         assert resid < 1e-7

@@ -146,6 +146,17 @@ CONTRACT_ORACLES = {
 }
 
 
+POSITION_BASES = {
+    "dense": CONTRACT_ORACLES["dense"],
+    "sparse-no-diag": _sparse_without_diagonal,
+    "hubbard-3x2": CONTRACT_ORACLES["hubbard"],
+    "hubbard-2x2": lambda: HubbardOracle(LatticeSpec(l1=2, l2=2, n_up=2, n_down=2)),
+    # dim 336: the bulk pass reads it in two blocks of columns
+    "hubbard-3x3": lambda: HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5)),
+    "hubbard-3x3-free": lambda: HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, u=0.0)),
+}
+
+
 @pytest.fixture(params=sorted(CONTRACT_ORACLES))
 def contract_oracle(request):
     return CONTRACT_ORACLES[request.param]()
@@ -170,30 +181,37 @@ class TestAddColumnContract:
         rows, vals = shift_scale(base, 2.0, 3.0).column(5)
         assert vals[np.flatnonzero(rows == 5)].tolist() == [3.0]
 
-    def test_diagonal_positions_found_on_first_read(self):
-        base = _sparse_without_diagonal()
+    @pytest.mark.parametrize("name", sorted(POSITION_BASES))
+    def test_diagonal_positions_are_the_column_search(self, name):
+        base = POSITION_BASES[name]()
+        want = []
+        for j in range(base.dim):
+            rows, _ = base._column(j)
+            at = np.flatnonzero(rows == j) if rows is not None else [j]
+            want.append(int(at[0]) if len(at) else -1)
+        assert base.diagonal_positions().tolist() == want
+        if name == "sparse-no-diag":
+            assert [j for j in range(base.dim) if want[j] < 0] == [2, 5, 9]
         oracle = shift_scale(base, 2.0, 3.0)
         oracle.prepare()
-        positions = oracle._diag_pos
-        assert positions == [None] * base.dim
+        base.reset_access_count()
         for j in range(base.dim):
-            first = oracle.column(j)
-            assert positions[j + 1:] == [None] * (base.dim - j - 1)
-            rows, vals = base._column(j)
-            (at,) = np.flatnonzero(rows == j) if j in rows else (-1,)
-            assert positions[j] == at
             # the search and insert the positions replace, written out
-            want_rows, want = rows, 2.0 * vals
-            pos = np.searchsorted(rows, j)
-            if at >= 0:
-                want[pos] += 3.0
+            rows, vals = base._column(j)
+            want_rows, expect = rows, 2.0 * vals
+            if rows is None:
+                expect[j] += 3.0
+            elif want[j] >= 0:
+                expect[np.searchsorted(rows, j)] += 3.0
             else:
-                want_rows, want = np.insert(rows, pos, j), np.insert(want, pos, 3.0)
-            for got_rows, got in (first, oracle.column(j)):  # found, then reused
+                pos = np.searchsorted(rows, j)
+                want_rows, expect = np.insert(rows, pos, j), np.insert(expect, pos, 3.0)
+            got_rows, got = oracle.column(j)
+            assert (got_rows is None) == (want_rows is None)
+            if got_rows is not None:
                 assert got_rows.tolist() == want_rows.tolist()
-                assert got.tobytes() == want.tobytes()
-        assert [j for j in range(base.dim) if positions[j] < 0] == [2, 5, 9]
-        assert oracle.access_count == 2 * base.dim and base.access_count == 0
+            assert got.tobytes() == expect.tobytes()
+        assert oracle.access_count == base.dim and base.access_count == 0
 
     def test_returns_the_rows_it_touched(self, contract_oracle):
         out = np.zeros(contract_oracle.dim)
