@@ -227,15 +227,15 @@ class MomentumBasis:
 
     @cached_property
     def addressing(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row of every move's target, in two parts shaped like ``SpinMoves.new``.
+        """The row of every move's target, in two parts shaped like ``SpinMoves.target``.
 
         A whole momentum sector sorted by (up, down) pairs each up mask u with
         every down mask of the complementary momentum, so determinant (u, d)
         is row ``start[u] + rank[d]``: ``start[u]`` is u's first row and
         ``rank[d]`` is d's place among the down masks of its momentum.  The
         up part of a move is ``start`` of its target and the down part
-        ``rank`` of its target (0 where the move is not allowed), so a paired
-        move's row is one add.  Raises ``KeyError`` unless the basis is such
+        ``rank`` of its target (0 where the move is not allowed or its new
+        mask is not in the basis), so a paired move's row is one add.  Raises ``KeyError`` unless the basis is such
         a union of whole products and every move that pairs with a move of
         the other spin lands on masks of the basis.
         """
@@ -253,9 +253,8 @@ class MomentumBasis:
                                     np.bincount(code, minlength=spec.n_orb)[partner]))
         parts, stray = [], []
         for moves, part in ((up, start), (dn, rank)):
-            at = np.searchsorted(moves.masks, moves.new).clip(max=moves.masks.size - 1)
-            found = moves.masks[at] == moves.new
-            parts.append(np.where(moves.allowed & found, part[at], 0).astype(np.int32))
+            found = moves.target >= 0
+            parts.append(np.where(moves.allowed & found, part[moves.target], 0).astype(np.int32))
             stray.append((moves.allowed & ~found).any(axis=1))
         # momentum is conserved, so in such a union a paired move whose two
         # target masks are in the basis lands on a determinant of the basis
@@ -322,22 +321,23 @@ class SpinMoves(NamedTuple):
     """One spin's moves, tabulated per distinct mask of a basis.
 
     ``masks`` are the distinct masks, ascending, and ``index[j]`` is the
-    table row of column ``j``'s mask; ``new``, ``parity`` and ``allowed``
+    table row of column ``j``'s mask; ``target``, ``parity`` and ``allowed``
     are shaped (distinct masks, occupied orbitals, transfer
-    ``q = 1 .. n_orb-1``).
+    ``q = 1 .. n_orb-1``).  ``target`` is the table row of the move's new
+    mask, -1 where that mask is not one of ``masks``.
     """
 
     masks: np.ndarray
     index: np.ndarray
-    new: np.ndarray
+    target: np.ndarray
     parity: np.ndarray
     allowed: np.ndarray
 
 
 def _spin_moves(masks: np.ndarray, table: np.ndarray) -> SpinMoves:
     """Every move of one electron from occupied ``o`` to ``table[o, q]``,
-    ``q != 0``, for each distinct mask of ``masks``: the new mask, the
-    Jordan-Wigner parity of the move (odd is True) and whether the
+    ``q != 0``, for each distinct mask of ``masks``: the new mask's table
+    row, the Jordan-Wigner parity of the move (odd is True) and whether the
     destination is empty."""
     masks, index = np.unique(masks, return_inverse=True)
     n_orb = table.shape[0]
@@ -351,7 +351,9 @@ def _spin_moves(masks: np.ndarray, table: np.ndarray) -> SpinMoves:
     # below(dest), one fewer if the electron left from under dest
     parity = ((below[rows, occ] + below[rows, dest] - (occ < dest)) & 1) == 1
     new = (masks[:, None, None] ^ (1 << occ)) | (1 << dest)
-    return SpinMoves(masks, index.astype(np.min_scalar_type(masks.size)), new, parity, allowed)
+    target = np.searchsorted(masks, new).clip(max=masks.size - 1).astype(np.int32)
+    target[masks[target] != new] = -1
+    return SpinMoves(masks, index.astype(np.min_scalar_type(masks.size)), target, parity, allowed)
 
 
 def _column_counts(spec: LatticeSpec, basis: MomentumBasis) -> np.ndarray:
@@ -400,7 +402,7 @@ def _column_kernel(spec: LatticeSpec, basis: MomentumBasis, lo: int, hi: int) ->
     dn_key = 4 * dn_row[di].astype(dtype) + dn.parity[di]
     cols = np.arange(hi - lo, dtype=dtype) * span
     key = np.concatenate([
-        (up_key[:, :, None, :] + dn_key[:, None, :, :]).ravel().take(np.flatnonzero(ok))
+        np.compress(ok.ravel(), up_key[:, :, None, :] + dn_key[:, None, :, :])
         + np.repeat(cols, counts - 1),
         cols + 4 * np.arange(lo, hi, dtype=dtype) + 3])
     key.sort()

@@ -347,7 +347,7 @@ class TestOracle:
 
         def counted(masks, table):
             moves = spin_moves(masks, table)
-            sizes.append(moves.new.shape[0])
+            sizes.append(moves.target.shape[0])
             return moves
 
         monkeypatch.setattr(hubbard, "_spin_moves", counted)
