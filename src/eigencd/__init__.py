@@ -3,7 +3,7 @@
 from .engine import (CubicCoeffs, SolverState, StrategyConfig, coord_cubic,
                      delta_f, init_state, pick_gauss_southwell, pick_grad_power,
                      pick_greedy_ls, power_method_step, solve_cubic_min, step,
-                     stepsize_bound, vec_ls_alpha)
+                     stepsize_bound)
 from .harness import (ExperimentResult, ReferenceSolution, RunStats, TraceRecord,
                       compute_reference, emit_trace, eps_obj, eps_tan,
                       projected_energy, run_experiment)

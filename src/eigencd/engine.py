@@ -102,49 +102,67 @@ the closed forms themselves return NaN.  Below :data:`SCREEN_MIN_DIM`
 coordinates every cubic is solved, unscreened.
 
 The sampled pick (``grad_power``, t > 0, with replacement) draws j with
-probability proportional to ``w_j = (|c_j| / max|c|)^t`` by the inverse CDF:
-with ``C`` the sequential ``cumsum`` of w and ``D = fl(r C_{n-1})`` for
-``r = rng.random()``, j is the number of ``C_i <= D``, clipped to n - 1.
-For k draws on ``n >= k * SAMPLE_MIN_DIM`` coordinates it finds the same j
-without C.  It sums ``v`` over blocks of :data:`SAMPLE_BLOCK` in one BLAS
-product of the blocks with a vector of ones (``v = |c|`` and ``s = max|c|``
-at t = 1, so that no pass divides all n scores; ``v = w`` and ``s = 1``
-otherwise), divides the running block sums by s, bisects them for the
-draw's block, and proposes j from that block's running sum.  Each
-value ``A_i`` it then compares is the block start plus a running sum of v
-inside the block divided by s.  With
-``u = 2^-53``, ``gamma_n = n u / (1 - n u)``, ``eta = 2^-1075`` (the largest
-error of a rounding into the subnormal range) and ``W_i`` the exact prefix
-sums of w,
+probability proportional to ``w_j = (|c_j| / M)^t``, ``M = max|c|``, by the
+inverse CDF: with ``C`` the sequential ``cumsum`` of the computed weights
+and ``D = fl(r C_{n-1})`` for ``r = rng.random()``, j is the number of
+``C_i <= D``, clipped to n - 1.  For k draws on ``n >= k * SAMPLE_MIN_DIM``
+coordinates it finds the same j without C and, at t = 1, without M.  It sums
+values ``v`` over blocks of :data:`SAMPLE_BLOCK` in one BLAS product of the
+blocks with a vector of ones, searches the running block sums for the
+draw's block, and proposes j from that block's running sum.  At t = 1,
+``v = |c|`` unscaled; M is read only when the sequential search runs, or
+when the total is zero or not finite (the stationary test, or the
+sequential search).  Otherwise ``v`` are the computed weights themselves,
+the case ``M = 1`` below without the weights' rounding.
 
-    |C_i - W_i| <= gamma_n W_i,   |A_i - W_i| <= (gamma_n + 3u) W_i + (n + 2) eta:
+With ``u = 2^-53``, ``eta = 2^-1075`` (the largest error of a rounding into
+the subnormal range), ``gamma = n u / (1 - n u)`` and ``V_i`` the exact
+prefix sums of v: each value ``A_i`` the test reads (a block start plus a
+running sum inside the block) and the total T are sums of at most n
+nonnegative terms, so they lie within ``gamma V_i`` of V_i whatever the
+order of addition (BLAS picks it inside a block); additions lose nothing
+to underflow.  The weights ``fl(|c_l| / M)`` round by a relative u or an
+absolute eta each, C sums them in order, and D and ``m = fl(r T)`` round
+once each, so in units of |c|
 
-C adds nonnegative terms in order.  A's block sums may add a block's terms
-in any order (BLAS picks it), but the bound ``gamma_n`` on a sum of at most
-n nonnegative terms holds for every order of addition, so it holds for A.
-A adds to its own summation error a rounding for its division by s, for the
-block start's addition and, at t = 1, for the division inside each weight,
-which may also each lose eta near underflow.  The same bounds put D,
-against ``m = fl(r A_{n-1})``, within
-``m (1 +- (2 gamma_n + 6u)) +- (n + 4) eta``.  The proposed j is accepted
-only when
+    M C_i in (1 +- gamma) ((1 +- u) V_i +- n eta M),
+    M D in (1 +- u) r M C_{n-1} +- eta M,   m in (1 +- u) r T +- eta.
 
-    A_{j-1} (1 + eps) + tau < m (1 - eps) - tau,
-    A_j (1 - eps) - tau > m (1 + eps) + tau,
+Eliminating ``V_i`` and ``r V_{n-1}``, ``C_{j-1} <= D`` holds once
+``m R2 - A_{j-1} R1 > a_L``, and ``D < C_j`` once ``A_j R3 - m R4 > a_R``,
+with ``R1 = (1 + u) / (1 - 2nu)``, ``R2 = (1 - u)^2 (1 - 2nu) / (1 + u)``,
+``R3 = (1 - u)(1 - 2nu)``, ``R4 = (1 + u)^2 / ((1 - u)(1 - 2nu))``
+(``(1 + gamma) / (1 - gamma) = 1 / (1 - 2nu)``), and
+``a_L = ((2 + gamma) n + 1) eta M + R2 eta``,
+``a_R = ((2 + u + gamma + u gamma) n + 1) eta M + R4 eta``.  The proposed j
+is accepted only when
 
-with ``eps = 3 gamma_n + 16u`` and ``tau = (n + 8) 2^-1074`` (n counts the
-zero padding of the last block; the bounds only grow with n).  The third
-gamma_n covers the products of first-order terms, and the rest of the slack
-covers the roundings of the test itself, so the test proves
+    m - A_{j-1} > (m + A_{j-1}) eps + tau,   A_j - m > (A_j + m) eps + tau
+
+in floating point.  Their own roundings scale eps by at least
+``(1 - u)^3 / (1 + u)`` and ``tau - eta`` by ``(1 - u) / (1 + u)``, so they
+prove both conditions when ``eps (1 - u)^3 / (1 + u)`` bounds every
+``|R - 1|`` and ``(tau - eta)(1 - u) / (1 + u)`` bounds a_L and a_R.  The
+margins are
+
+    eps = gamma_{2n+4},   tau = (n + 1) 2^-1073 T + 2^-1073.
+
+Every ``|R - 1|`` is at most ``gamma_{2n+3}``, as R4's is: 2n for the two
+sums and one u each for the weights' division, D and m.  The weights' u is
+the one the unscaled sums add to a sampler that divides by M, and the last
+u pays for the test's own roundings.  ``M <= V_{n-1} <= T / (1 - gamma)`` puts
+the ``eta M`` terms under the first part of tau, and its last part covers
+the ``eta`` ones and the rounding of tau itself (n counts the zero padding
+of the last block; the margins only grow with n).  So the test proves
 ``C_{j-1} <= D < C_j``, which makes j the sequential search's answer.  When
 a draw fails the test (it lies within about ``eps`` of a cumulative
-boundary, or its block was guessed wrong) or a block total is not finite,
-the whole call takes the sequential cumsum, with the draws already made.
+boundary, or its block was guessed wrong) or the total is not finite, the
+whole call takes the sequential cumsum, with the draws already made.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -186,17 +204,19 @@ SCREEN_DRIFT = 2.0 ** -9
 SCREEN_SEEDS = 4
 
 # The sampled pick certifies k draws when n >= k * SAMPLE_MIN_DIM.  A draw
-# costs about 10 us of numpy calls, against about 4.5 ns per coordinate
-# for the division and cumsum it saves.  Median pick at t = 1, exact ->
-# certified, on gaussian scores (10% zeros), 2-CPU x86 VM: k = 1 n = 1,500
-# 29.8 -> 28.7 us, 2,000 26.8 -> 23.6, 4,000 42.6 -> 29.0, 16,000
-# 116.7 -> 56.5; k = 2 n = 2,500 35.5 -> 39.0, 3,000 39.1 -> 39.0, 4,000
-# 45.4 -> 41.2; k = 4 n = 6,000 56.5 -> 61.7, 8,000 63.9 -> 56.9.  Block
+# costs 5 to 10 us of numpy calls, against about 5.7 ns per coordinate for
+# the max pass, division and cumsum it saves.  Fastest pick at t = 1 of 15
+# runs of 1,000, exact -> certified, on gaussian scores (10% zeros), 2-CPU
+# x86 VM: k = 1 n = 500 14.1 -> 11.7 us, 1,000 17.1 -> 12.6, 2,000
+# 22.9 -> 13.8, 4,000 34.2 -> 15.8, 16,000 102.2 -> 26.4; k = 2 n = 1,000
+# 17.4 -> 16.9, 2,000 23.6 -> 18.4, 3,000 29.5 -> 19.9; k = 4 n = 2,000
+# 34.1 -> 44.7, 4,000 45.6 -> 46.4, 6,000 58.4 -> 49.6.  (With the max
+# pass the floor was 2,000: k = 2 n = 2,500 measured 35.5 -> 39.0.)  Block
 # sizes 64 to 512 measured alike at n = 3,000 and 19,600.
-SAMPLE_MIN_DIM = 2000
+SAMPLE_MIN_DIM = 1000
 SAMPLE_BLOCK = 256
 _UNIT_ROUNDOFF = 2.0 ** -53
-_MIN_SUBNORMAL = 2.0 ** -1074
+_TWO_MIN_SUBNORMAL = 2.0 ** -1073
 
 
 class StationaryIterate(Exception):
@@ -484,41 +504,60 @@ def pick_gauss_southwell(state: SolverState) -> int:
     return int(np.argmax(state.abs_scores()[:state.dim]))
 
 
-def _certified_draws(values: np.ndarray, scale: float,
+@functools.cache
+def _ones(size: int) -> np.ndarray:
+    return np.ones(size)
+
+
+def _block_ends(values: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` over blocks of :data:`SAMPLE_BLOCK`, by one
+    BLAS product of the blocks with a vector of ones."""
+    return np.add.accumulate(values.reshape(-1, SAMPLE_BLOCK) @ _ones(SAMPLE_BLOCK))
+
+
+def _draw_margins(n: int, total: float) -> tuple[float, float]:
+    """``(eps, tau)`` of the certified draw's test over n values (zero padding
+    included) summing to ``total``; see the module docstring."""
+    eps = (2 * n + 4) * _UNIT_ROUNDOFF / (1.0 - (2 * n + 4) * _UNIT_ROUNDOFF)
+    return eps, (n + 1) * _TWO_MIN_SUBNORMAL * total + _TWO_MIN_SUBNORMAL
+
+
+def _certified_draws(values: np.ndarray, ends: np.ndarray,
                      draws: np.ndarray) -> np.ndarray | None:
     """The sequential sampler's picks for ``draws``, or None when one of them
-    is not certified.  ``values / scale`` are its weights, zero-padded to
-    whole blocks of :data:`SAMPLE_BLOCK`; see the module docstring.
+    is not certified.  ``values`` are its weights up to one common factor,
+    zero-padded to whole blocks of :data:`SAMPLE_BLOCK`, and ``ends`` their
+    :func:`_block_ends`; see the module docstring.
     """
-    n = values.size  # padded: the margin only grows with n
-    blocks = values.reshape(-1, SAMPLE_BLOCK)
-    ends = np.add.accumulate(blocks @ np.ones(SAMPLE_BLOCK))
-    ends /= scale
-    total = float(ends[-1])
+    total = ends.item(-1)
     if not math.isfinite(total):
         return None
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    eps = 3.0 * gamma + 16.0 * _UNIT_ROUNDOFF
-    tau = (n + 8) * _MIN_SUBNORMAL
-    bounds = ends.tolist()
-    last = len(bounds) - 1
+    eps, tau = _draw_margins(values.size, total)  # padded: the margins only grow with n
+    last = ends.size - 1
     picks = np.empty(draws.size, dtype=np.int64)
-    for i, r in enumerate(draws.tolist()):
-        mid = r * total
-        b = min(bisect.bisect_right(bounds, mid), last)
-        start = bounds[b - 1] if b else 0.0
+    for i in range(draws.size):
+        mid = draws.item(i) * total
+        b = min(int(ends.searchsorted(mid, side="right")), last)
+        start = ends.item(b - 1) if b else 0.0
         # the search only proposes j; the test below decides
-        local = np.add.accumulate(blocks[b])
-        c = int(local.searchsorted((mid - start) * scale, side="right"))
+        local = np.add.accumulate(values[b * SAMPLE_BLOCK:(b + 1) * SAMPLE_BLOCK])
+        c = int(local.searchsorted(mid - start, side="right"))
         if c == SAMPLE_BLOCK:
             return None
-        before = start + float(local[c - 1]) / scale if c else start
-        after = start + float(local[c]) / scale
-        if not (before * (1.0 + eps) + tau < mid * (1.0 - eps) - tau
-                and after * (1.0 - eps) - tau > mid * (1.0 + eps) + tau):
+        before = start + local.item(c - 1) if c else start
+        after = start + local.item(c)
+        if not (mid - before > (mid + before) * eps + tau
+                and after - mid > (after + mid) * eps + tau):
             return None
         picks[i] = b * SAMPLE_BLOCK + c
     return picks
+
+
+def _largest_score(scores: np.ndarray) -> float:
+    top = float(np.maximum.reduce(scores))
+    if top == 0.0 or not math.isfinite(top):
+        raise StationaryIterate("gradient scores all zero")
+    return top
 
 
 def pick_grad_power(state: SolverState, t: float, k: int = 1,
@@ -537,25 +576,33 @@ def pick_grad_power(state: SolverState, t: float, k: int = 1,
             return rng.integers(0, n, size=k)
         return rng.choice(n, size=k, replace=False)
     padded = state.abs_scores()
-    top = np.maximum.reduce(padded[:n])
-    if top == 0.0 or not np.isfinite(top):
-        raise StationaryIterate("gradient scores all zero")
-    # the weights are values / scale; at t = 1 the front divides only sums
-    if t == 1:
-        values, scale = padded, top
+    certify = with_replacement and n >= k * SAMPLE_MIN_DIM
+    values, top = padded, None  # the weights are values / top
+    if t == 1 and certify:
+        # the unscaled sums of |c| certify the draws: max|c| is read only by
+        # the sequential search, or where a zero or non-finite total cannot
+        # rule out a stationary iterate
+        ends = _block_ends(values)
+        if not 0.0 < ends.item(-1) < math.inf:
+            top = _largest_score(padded[:n])
     else:
-        values = padded / top  # normalized before powering to dodge overflow
-        values **= t
-        scale = 1.0
+        top = _largest_score(padded[:n])
+        if t != 1:
+            values = padded / top  # normalized before powering to dodge overflow
+            values **= t
+            top = 1.0
+        ends = _block_ends(values) if certify else None
     if with_replacement:
         draws = rng.random(k)
-        if n >= k * SAMPLE_MIN_DIM:
-            picks = _certified_draws(values, scale, draws)
+        if certify:
+            picks = _certified_draws(values, ends, draws)
             if picks is not None:
                 return picks
-        cum = np.cumsum(values[:n] / scale)
+        if top is None:
+            top = _largest_score(padded[:n])
+        cum = np.cumsum(values[:n] / top)
         return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"), n - 1)
-    weights = values[:n] / scale
+    weights = values[:n] / top
     out = np.empty(k, dtype=np.int64)
     for i in range(k):
         cum = np.cumsum(weights)
@@ -722,18 +769,6 @@ def _vec_ls_direction(state: SolverState, omega: np.ndarray):
     vtz = float(v @ z[omega])
     vav = float(v @ w[omega])
     return solve_cubic_min(direction_cubic(nu, nv2, vtx, vtz, vav)), v, w
-
-
-def vec_ls_alpha(state: SolverState, omega) -> float:
-    """Optimal stepsize along the sparse gradient direction on ``omega``.
-
-    Charges one column access per distinct index; zero direction gives 0.
-    """
-    omega = np.unique(np.asarray(omega, dtype=np.int64))
-    if omega.size == 0:
-        raise ValueError("omega must be non-empty")
-    alpha, _, _ = _vec_ls_direction(state, omega)
-    return float(alpha)
 
 
 def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> None:

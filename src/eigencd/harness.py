@@ -406,18 +406,3 @@ def emit_trace(results: list[ExperimentResult], out_dir) -> None:
     except OSError as exc:
         raise OSError(f"writing traces under {out_dir}: {exc}") from exc
 
-
-def read_trace(path) -> list[TraceRecord]:
-    """Parse a trace CSV back; inverse of the writer for round-trip checks."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            records.append(TraceRecord(
-                iteration=int(row[0]), col_access=int(row[1]),
-                f_value=float(row[2]), eps_obj=float(row[3]),
-                eps_energy=float(row[4]), eps_tan=float(row[5])))
-    return records

@@ -433,11 +433,12 @@ class HubbardOracle(ColumnOracle):
         self.basis = enumerate_sector(spec, max_dim)
         super().__init__(self.basis.dim)
         self._csc: sp.csc_matrix | None = None
+        self._indptr: list[int] | None = None
 
     def _column(self, j: int) -> Column:
-        if self._csc is None:
+        if self._indptr is None:
             self.prepare()
-        lo, hi = self._csc.indptr[j], self._csc.indptr[j + 1]
+        lo, hi = self._indptr[j], self._indptr[j + 1]
         return self._csc.indices[lo:hi], self._csc.data[lo:hi]
 
     def _diagonal(self) -> np.ndarray:
@@ -467,6 +468,7 @@ class HubbardOracle(ColumnOracle):
             rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
                 _column_kernel(self.spec, self.basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
+        self._indptr = self._csc.indptr.tolist()  # Python ints slice faster
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``H @ x`` through the CSR view of the CSC arrays (``_csc.T``, no copy).

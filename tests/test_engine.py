@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
                             pick_gauss_southwell, pick_grad_power,
                             pick_greedy_ls,
                             power_method_step, solve_cubic_min, step,
-                            stepsize_bound, vec_ls_alpha)
+                            stepsize_bound)
 from eigencd.harness import compute_reference
 from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
@@ -578,6 +579,23 @@ class ChosenDraws:
         return out
 
 
+def boundary_draws(rng, draw, c, t, k, at=None):
+    """k draws: uniform, onto a cumulative boundary of the sequential weights
+    at power t (at an index from ``at``, default any), next to one, or at
+    the ends."""
+    scores = np.abs(c) / np.abs(c).max()
+    cum = np.cumsum(scores * scores if t == 2 else scores ** t)
+    at = np.arange(c.size) if at is None else at
+    draws = []
+    for _ in range(k):
+        where = cum[at[rng.integers(0, at.size)]] / cum[-1]
+        draws.append(draw(st.sampled_from([
+            float(rng.random()), float(rng.random()), float(rng.random()), where,
+            float(np.nextafter(where, 0.0)), float(np.nextafter(where, 1.0)),
+            0.0, float(np.nextafter(1.0, 0.0))])))
+    return np.minimum(draws, np.nextafter(1.0, 0.0))
+
+
 @st.composite
 def sampled_scores(draw):
     """Scores with long zero runs, exact ties and magnitudes from 1e-300 to 1
@@ -605,17 +623,7 @@ def sampled_scores(draw):
         c[rng.integers(0, n)] = 1.0
     t = draw(st.sampled_from([1.0, 2.0, 0.5, 7.0]))
     k = draw(st.sampled_from([1, 3]))
-    scores = np.abs(c) / np.abs(c).max()
-    weights = scores * scores if t == 2 else scores ** t
-    cum = np.cumsum(weights)
-    draws = []
-    for _ in range(k):  # uniform, or onto a cumulative boundary, or next to one
-        where = cum[rng.integers(0, n)] / cum[-1]
-        draws.append(draw(st.sampled_from([
-            float(rng.random()), float(rng.random()), float(rng.random()), where,
-            float(np.nextafter(where, 0.0)), float(np.nextafter(where, 1.0)),
-            0.0, float(np.nextafter(1.0, 0.0))])))
-    return block, floor, c, t, np.minimum(draws, np.nextafter(1.0, 0.0))
+    return block, floor, c, t, boundary_draws(rng, draw, c, t, k)
 
 
 @settings(max_examples=400, deadline=None)
@@ -662,9 +670,125 @@ def test_certified_front_decides_uniform_draws(t):
         top = np.abs(c).max()
         values = np.zeros(-(-n // engine.SAMPLE_BLOCK) * engine.SAMPLE_BLOCK)
         values[:n] = np.abs(c) if t == 1 else (np.abs(c) / top) ** t
-        picks = engine._certified_draws(values, top if t == 1 else 1.0, draws)
+        picks = engine._certified_draws(values, engine._block_ends(values), draws)
         assert picks is not None
         assert picks.tolist() == sequential_pick(c, t, draws).tolist()
+
+
+UNSCALED_KINDS = ("overflow", "subnormal", "far-top", "equal")
+
+
+def unscaled_case(rng, kind, n, block):
+    """Scores the t = 1 certificate sums without dividing by max|c|, and the
+    indices whose boundaries the draws should hit."""
+    at = None
+    if kind == "overflow":  # finite scores, an infinite total
+        c = rng.uniform(0.0, 1.0, n) * 2.0 ** 1022
+        c[rng.integers(0, n)] = np.finfo(float).max
+    elif kind == "subnormal":  # the total, and r T, round in absolute terms
+        c = rng.integers(0, 2 ** int(rng.integers(1, 50)), n) * 5e-324
+        if rng.random() < 0.5:  # or sums just past the normal range
+            c += rng.uniform(0.0, 2.0 ** -1021 / n, n)
+        c[rng.integers(0, n)] += 5e-324
+    elif kind == "far-top":  # max|c| in the last block, the draws before it
+        if rng.random() < 0.5:  # weights that round into the subnormal range
+            c = rng.integers(0, 400, n) * 5e-324
+        else:
+            c = 10.0 ** rng.uniform(-320.0, -1.0, n)
+        c[rng.integers(n - block, n)] = rng.uniform(0.5, 1.0)
+        at = np.arange(n - block)
+    else:
+        c = np.full(n, rng.choice([1.0, 3.0, 0.1, 1e-310, 7e300]))
+    return c * rng.choice([-1.0, 1.0], n), at
+
+
+@st.composite
+def unscaled_scores(draw):
+    block = 16
+    kind = draw(st.sampled_from(UNSCALED_KINDS))
+    n = draw(st.sampled_from([block, block + 1, 3 * block - 1, 3 * block, 5 * block + 3]))
+    if kind == "far-top":
+        n = max(n, 2 * block)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, at = unscaled_case(rng, kind, n, block)
+    k = draw(st.sampled_from([1, 3]))
+    return block, c, boundary_draws(rng, draw, c, 1.0, k, at)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(case=unscaled_scores())
+def test_unscaled_certificate_matches_sequential_pick(case):
+    """At t = 1 the certificate reads no max|c|; the sequential sampler,
+    which divides by it, picks the same coordinates."""
+    block, c, draws = case
+    state = scores_state(c)
+    state.rng = ChosenDraws(draws)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SAMPLE_BLOCK", block)
+        mp.setattr(engine, "SAMPLE_MIN_DIM", block)
+        picks = pick_grad_power(state, 1.0, draws.size)
+    assert picks.tolist() == sequential_pick(c, 1.0, draws).tolist()
+    assert state.rng.values == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", UNSCALED_KINDS)
+def test_unscaled_certificate_decides_off_boundaries(monkeypatch, kind):
+    """Uniform draws on each kind of scores: the certificate decides them
+    (none when the total overflows), with the sequential sampler's picks."""
+    block = 16
+    monkeypatch.setattr(engine, "SAMPLE_BLOCK", block)
+    rng = np.random.default_rng(43)
+    decided = 0
+    for _ in range(200):
+        c, _ = unscaled_case(rng, kind, 5 * block + 3, block)
+        values = np.zeros(6 * block)
+        values[:c.size] = np.abs(c)
+        draws = rng.random(2)
+        picks = engine._certified_draws(values, engine._block_ends(values), draws)
+        if picks is not None:
+            decided += 1
+            assert picks.tolist() == sequential_pick(c, 1.0, draws).tolist()
+    assert decided == 0 if kind == "overflow" else decided >= 180
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [np.zeros(40), np.r_[np.ones(39), np.nan],
+                               np.r_[np.ones(39), np.inf]], ids=["zero", "nan", "inf"])
+def test_stationary_total_draws_nothing(monkeypatch, c):
+    """A zero or non-finite total with no finite nonzero max|c| stops the
+    certified pick before it draws."""
+    monkeypatch.setattr(engine, "SAMPLE_BLOCK", 16)
+    monkeypatch.setattr(engine, "SAMPLE_MIN_DIM", 16)
+    state = scores_state(c)
+    state.rng = ChosenDraws([0.5])
+    with pytest.raises(StationaryIterate):
+        pick_grad_power(state, 1.0)
+    assert state.rng.values == [0.5]
+
+
+def test_draw_margins_cover_the_error_budget():
+    """The certified draw's margins, as floats, against the module
+    docstring's error budget in exact arithmetic."""
+    u, eta = Fraction(1, 2**53), Fraction(1, 2**1075)
+    for n in (16, 256, 19_712, 2**20):
+        g = n * u / (1 - n * u)
+        r1 = (1 + u) / (1 - 2 * n * u)
+        r2 = (1 - u) ** 2 * (1 - 2 * n * u) / (1 + u)
+        r3 = (1 - u) * (1 - 2 * n * u)
+        r4 = (1 + u) ** 2 / ((1 - u) * (1 - 2 * n * u))
+        assert r1 == (1 + u) * (1 + g) / (1 - g)
+        assert r4 == (1 + u) ** 2 * (1 + g) / ((1 - u) * (1 - g))
+        rho = max(r1 - 1, 1 - r2, 1 - r3, r4 - 1)
+        for total in (5e-324, 2.0**-1060, 1e-300, 1.0, float(n), 1e300,
+                      float(np.finfo(float).max)):
+            eps, tau = engine._draw_margins(n, total)
+            assert Fraction(eps) * (1 - u) ** 3 / (1 + u) >= rho
+            top = Fraction(total) / (1 - g)  # M <= V <= T / (1 - gamma)
+            a_l = ((2 + g) * n + 1) * eta * top + r2 * eta
+            a_r = ((2 + u + g + u * g) * n + 1) * eta * top + r4 * eta
+            assert (Fraction(tau) - eta) * (1 - u) / (1 + u) >= max(a_l, a_r)
 
 
 @pytest.mark.parametrize("method", ["SCD-Grad-LS(1)", "SCD-Grad-LS(2)"])
@@ -853,8 +977,15 @@ class TestStrategyAccounting:
         assert np.array_equal(*finals) is deterministic
 
 
+def vec_ls_step(monkeypatch, state, omega):
+    """One SCD-Grad-vecLS step along the gradient restricted to the distinct
+    indices ``omega``, which stand in for the sampled pick."""
+    monkeypatch.setattr(engine, "pick_grad_power", lambda *args: np.asarray(omega))
+    step(state, StrategyConfig(pick="grad_power", update="vec_ls", k=len(omega)))
+
+
 class TestVecLS:
-    def test_single_coordinate_matches_coord_ls(self, small_synthetic):
+    def test_single_coordinate_matches_coord_ls(self, small_synthetic, monkeypatch):
         rng = np.random.default_rng(16)
         for _ in range(30):
             x = rng.standard_normal(30)
@@ -864,8 +995,8 @@ class TestVecLS:
             if cj == 0.0:
                 continue
             alpha_coord = solve_cubic_min(coord_cubic(state, j))
-            alpha_vec = vec_ls_alpha(state, [j])
-            assert alpha_vec * 4.0 * cj == pytest.approx(alpha_coord, abs=1e-10)
+            vec_ls_step(monkeypatch, state, [j])
+            assert state.x[j] - x[j] == pytest.approx(alpha_coord, abs=1e-10)
 
     def test_full_direction_is_steepest_descent(self, small_synthetic):
         rng = np.random.default_rng(17)
@@ -883,19 +1014,21 @@ class TestVecLS:
         f_new = dense_objective(a, state.x)
         assert f_new <= dense_objective(a, x + best_t * g) + 1e-8
 
-    def test_derivative_vanishes_at_optimum(self, small_synthetic):
+    def test_derivative_vanishes_at_optimum(self, small_synthetic, monkeypatch):
         rng = np.random.default_rng(18)
         a = small_synthetic.array
         for _ in range(100):
             x = rng.standard_normal(30)
             state = fresh_state(small_synthetic, x)
             omega = np.unique(rng.integers(0, 30, size=5))
-            alpha = vec_ls_alpha(state, omega)
             v = np.zeros(30)
             v[omega] = 4.0 * (state.nu * x[omega] - (a @ x)[omega])
-            h = 1e-6
-            slope = (dense_objective(a, x + (alpha + h) * v)
-                     - dense_objective(a, x + (alpha - h) * v)) / (2 * h)
+            charged = small_synthetic.access_count
+            vec_ls_step(monkeypatch, state, omega)
+            assert small_synthetic.access_count - charged == omega.size
+            moved, h = state.x, 1e-6
+            slope = (dense_objective(a, moved + h * v)
+                     - dense_objective(a, moved - h * v)) / (2 * h)
             scale = 1.0 + abs(dense_objective(a, x))
             assert abs(slope) < 1e-8 * scale * max(1.0, float(v @ v))
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from eigencd.cli import parse_method
 from eigencd.engine import StrategyConfig
 from eigencd.harness import (AllSeedsFailed, ReferenceSolution, TraceRecord,
                              compute_reference, emit_trace, eps_obj, eps_tan,
-                             projected_energy, read_trace, run_experiment,
+                             projected_energy, run_experiment,
                              run_single)
 from eigencd.hubbard import HubbardOracle, LatticeSpec
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
@@ -304,6 +305,18 @@ class TestRunExperiment:
         assert all(o.trace[-1].eps_obj < 1e-6 for o in res.outcomes)
 
 
+def read_trace(path) -> list[TraceRecord]:
+    """Parse a trace CSV back: the inverse of ``emit_trace``'s writer."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert header == ["iteration", "col_access", "f", "eps_obj", "eps_energy", "eps_tan"]
+        return [TraceRecord(iteration=int(row[0]), col_access=int(row[1]),
+                            f_value=float(row[2]), eps_obj=float(row[3]),
+                            eps_energy=float(row[4]), eps_tan=float(row[5]))
+                for row in reader]
+
+
 class TestTraceIO:
     def test_round_trip(self, instance, tmp_path):
         a, ref = instance
@@ -333,7 +346,6 @@ class TestTraceIO:
         assert lines == ["iteration,col_access,f,eps_obj,eps_energy,eps_tan"]
 
     def test_infinity_round_trips(self, tmp_path):
-        import csv
         rec = TraceRecord(0, 0, 1.0, 0.5, float("nan"), float("inf"))
         path = tmp_path / "t.csv"
         with open(path, "w", newline="") as fh:

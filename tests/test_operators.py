@@ -142,6 +142,9 @@ CONTRACT_ORACLES = {
         build_synthetic(SpectrumSpec.gapped_grid(12, 6.0, 0.5, 4.0, seed=7)), -1.5, 4.0),
     "shift-sparse-no-diag": lambda: shift_scale(_sparse_without_diagonal(), 2.0, 3.0),
     "hubbard": lambda: HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)),
+    # the benchmark's operator shape, 100 I - H: the shifted diagonal write
+    "shift-hubbard": lambda: shift_scale(
+        HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)), -1.0, 100.0),
     "mixed": lambda: MixedColumns(_sparse_without_diagonal().array + np.eye(12)),
 }
 
