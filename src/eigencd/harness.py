@@ -144,6 +144,11 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
     second run starts from a random vector.
     """
     n = oracle.dim
+    if n < 2:
+        raise ValueError(
+            f"the operator has dimension {n}: the reference needs a second eigenvalue, and a "
+            "1x1 matrix is rank one, so the relative gap eps_obj = sqrt((f - f*) / f*) is "
+            "undefined for it (f* = 0)")
     frob_sq = frobenius_norm_sq(oracle)
     if n <= DENSE_REFERENCE_CUTOFF:
         dense = np.zeros((n, n))

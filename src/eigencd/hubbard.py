@@ -34,8 +34,10 @@ the two parts of each target's row, and sorts the block by (column, row).
 :meth:`HubbardOracle.prepare` runs the kernel block by block into the CSC
 arrays; :func:`hamiltonian_column` runs it on one column, independently of
 any assembled matrix.  Products run through the CSR view of the same arrays,
-and the diagonal positions a shift wrapper needs come from one pass over
-them.
+split once into two halves of rows with about equal entries, the second
+half on a helper thread; the diagonal positions a shift wrapper needs and
+the squared column norms of the norm surveys come from passes over the CSC
+a block of columns at a time.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -47,8 +49,10 @@ electron per spin channel, up- and down-parities factorize.
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -425,7 +429,10 @@ class HubbardOracle(ColumnOracle):
     Columns are slices of the CSC matrix that :meth:`prepare` assembles; the
     first column or product assembles it, while :meth:`nnz_per_column`
     counts entries without it.  Assembly changes cost only, never
-    accounting: every ``column`` call counts.
+    accounting: every ``column`` call counts.  :meth:`matvec` runs two
+    halves of the CSR view, the second on a helper thread, and the
+    uncounted passes (:meth:`diagonal_positions`, :meth:`column_sq_norms`)
+    read the CSC arrays in blocks without a ``column`` call.
     """
 
     def __init__(self, spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP):
@@ -434,6 +441,7 @@ class HubbardOracle(ColumnOracle):
         super().__init__(self.basis.dim)
         self._csc: sp.csc_matrix | None = None
         self._indptr: list[int] | None = None
+        self._halves: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
 
     def _column(self, j: int) -> Column:
         if self._indptr is None:
@@ -469,30 +477,60 @@ class HubbardOracle(ColumnOracle):
                 _column_kernel(self.spec, self.basis, lo, hi)
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
         self._indptr = self._csc.indptr.tolist()  # Python ints slice faster
+        self._halves = _row_halves(self._csc)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``H @ x`` through the CSR view of the CSC arrays (``_csc.T``, no copy).
+        """``H @ x`` through the CSR view of the CSC arrays, in the two row
+        halves :meth:`prepare` made; the second half runs on a helper thread.
 
         H is exactly symmetric, so row i of the view is column i: each row
         sums its terms in the column order of ``_csc @ x``, bit for bit, but
         the product gathers from x where the CSC one scatters into the result.
+        scipy's product releases the GIL, so on two CPUs the halves overlap;
+        on one they run one after the other.
         """
         self.prepare()
-        return self._csc.T @ x
+        top, bottom = self._halves
+        lower = _helper().submit(bottom.dot, x)
+        return np.concatenate((top @ x, lower.result()))
 
-    def diagonal_positions(self) -> np.ndarray:
-        """Each column's diagonal position, read from the CSC a block of
-        columns at a time, which bounds the pass' scratch arrays."""
+    def _blocks(self):
+        """``(lo, hi, entries, cols)`` for each block of
+        :data:`_BLOCK_COLUMNS` columns ``lo .. hi-1``: the slice of the CSC
+        arrays that holds the block and each stored entry's column, so a
+        pass over the blocks keeps its scratch arrays small."""
         self.prepare()
-        indptr, indices = self._csc.indptr, self._csc.indices
-        out = np.full(self.dim, -1, dtype=np.int64)
+        indptr = self._csc.indptr
         for lo in range(0, self.dim, _BLOCK_COLUMNS):
             hi = min(lo + _BLOCK_COLUMNS, self.dim)
-            rows = indices[indptr[lo]:indptr[hi]]
-            at = np.flatnonzero(rows == np.repeat(np.arange(lo, hi, dtype=rows.dtype),
-                                                  np.diff(indptr[lo:hi + 1])))
-            col = rows[at]  # a diagonal entry's row is its column
-            out[col] = at + indptr[lo] - indptr[col]
+            yield lo, hi, slice(indptr[lo], indptr[hi]), np.repeat(
+                np.arange(lo, hi, dtype=self._csc.indices.dtype), np.diff(indptr[lo:hi + 1]))
+
+    def diagonal_positions(self) -> np.ndarray:
+        """Each column's diagonal position, read from the CSC in blocks."""
+        out = np.full(self.dim, -1, dtype=np.int64)
+        for _, _, entries, cols in self._blocks():
+            at = np.flatnonzero(self._csc.indices[entries] == cols)
+            col = cols[at]
+            out[col] = at + entries.start - self._csc.indptr[col]
+        return out
+
+    def column_sq_norms(self, diagonal: bool = True) -> np.ndarray:
+        """Each column's sum of squares, read from the CSC in blocks.
+
+        A block's squares go to one scratch array sized for the largest
+        block, and one ``np.add.reduceat`` sums them column by column; every
+        column stores its diagonal entry, so no column's run is empty.
+        """
+        self.prepare()
+        indptr, indices, data = self._csc.indptr, self._csc.indices, self._csc.data
+        scratch = np.empty(np.diff(indptr[np.r_[0:self.dim:_BLOCK_COLUMNS, self.dim]]).max())
+        out = np.empty(self.dim)
+        for lo, hi, entries, cols in self._blocks():
+            sq = np.square(data[entries], out=scratch[:entries.stop - entries.start])
+            if not diagonal:
+                sq[indices[entries] == cols] = 0.0
+            out[lo:hi] = np.add.reduceat(sq, indptr[lo:hi] - entries.start)
         return out
 
     def nnz_per_column(self) -> np.ndarray:
@@ -501,6 +539,35 @@ class HubbardOracle(ColumnOracle):
         if self._csc is not None:
             return np.diff(self._csc.indptr)
         return _column_counts(self.spec, self.basis)
+
+
+def _row_halves(csc: sp.csc_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The CSR view of ``csc`` (its transpose) as its first rows up to half
+    the entries and the rest, both on views of the CSC's index and value
+    arrays."""
+    indptr, indices, data = csc.indptr, csc.indices, csc.data
+    n = csc.shape[0]
+    m = int(np.searchsorted(indptr, indptr[-1] // 2))
+    halves = []
+    for lo, hi in ((0, m), (m, n)):
+        half = sp.csr_matrix((hi - lo, n), dtype=data.dtype)
+        # the arrays go in after construction: the constructor copies a
+        # view that holds less than half of its array
+        entries = slice(indptr[lo], indptr[hi])
+        half.indptr, half.indices, half.data = \
+            indptr[lo:hi + 1] - indptr[lo], indices[entries], data[entries]
+        halves.append(half)
+    return tuple(halves)
+
+
+@cache
+def _helper() -> ThreadPoolExecutor:
+    """The one thread that runs a product's second half, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="eigencd-matvec")
+
+
+# a forked child inherits the cached executor but not its thread
+os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 @dataclass(frozen=True)

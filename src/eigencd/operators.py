@@ -4,8 +4,11 @@ Every solver in this package touches the matrix exclusively through single
 columns, and the number of column evaluations is the hardware-independent
 cost unit the benchmark harness reports.  Setup work (norm surveys,
 reference eigenpairs, sparse assembly) runs with counting paused so it never
-pollutes a solver budget.  The diagonal is the one other fact a solver
-reads; each oracle states it once, as a vector, and reading it is free.
+pollutes a solver budget.  The norm surveys read every column's squared
+norm from one uncounted pass, :meth:`ColumnOracle.column_sq_norms`: column
+by column by default, in bulk where an oracle holds its columns in bulk.
+The diagonal is the one other fact a solver reads; each oracle states it
+once, as a vector, and reading it is free.
 """
 
 from __future__ import annotations
@@ -159,6 +162,24 @@ class ColumnOracle(ABC):
             out[j] = at
         return out
 
+    def column_sq_norms(self, diagonal: bool = True) -> np.ndarray:
+        """``sum_i A[i, j]**2`` for every j, uncounted; with ``diagonal``
+        False the sum leaves out ``A[j, j]``.  Reads one column at a time
+        through :meth:`column` with counting paused, each sum one dot product
+        of the column with itself (the diagonal entry, found by
+        :meth:`diagonal_positions`, zeroed in a copy when left out); an
+        oracle that holds its columns in bulk can answer in one pass."""
+        at = None if diagonal else self.diagonal_positions().tolist()
+        out = np.empty(self._dim)
+        with self.counting_paused():
+            for j in range(self._dim):
+                _, vals = self.column(j)
+                if at is not None and at[j] >= 0:
+                    vals = vals.copy()
+                    vals[at[j]] = 0.0
+                out[j] = vals @ vals
+        return out
+
     def prepare(self) -> None:
         """Optional expensive setup (e.g. sparse assembly); uncounted."""
 
@@ -301,6 +322,15 @@ class ShiftScaled(ColumnOracle):
     def _diagonal(self) -> np.ndarray:
         return self._a * self._base.diagonal + self._b
 
+    def column_sq_norms(self, diagonal: bool = True) -> np.ndarray:
+        """``a**2`` times the base's sums without their diagonal entry, plus
+        this oracle's ``diagonal**2`` when ``diagonal``: the shift moves only
+        the diagonal, so no square is subtracted from another."""
+        out = self._a * self._a * self._base.column_sq_norms(diagonal=False)
+        if diagonal:
+            out += self.diagonal * self.diagonal
+        return out
+
     def prepare(self) -> None:
         self._base.prepare()
         if self._diag_pos is None:
@@ -316,26 +346,21 @@ def shift_scale(oracle: ColumnOracle, a: float, b: float) -> ShiftScaled:
     return ShiftScaled(oracle, a, b)
 
 
-def _uncounted_columns(oracle: ColumnOracle):
-    """Values of every column in order, one ``column`` call each, uncounted."""
-    with oracle.counting_paused():
-        for j in range(oracle.dim):
-            yield oracle.column(j)[1]
-
-
 def column_norm_max(oracle: ColumnOracle) -> float:
-    """``max_j ||A[:, j]||_2`` by one uncounted streaming pass."""
-    return max(float(np.sqrt(v @ v)) for v in _uncounted_columns(oracle))
+    """``max_j ||A[:, j]||_2`` from one :meth:`ColumnOracle.column_sq_norms` pass."""
+    return float(np.sqrt(oracle.column_sq_norms().max()))
 
 
 def frobenius_norm_sq(oracle: ColumnOracle) -> float:
-    """``sum_ij A[i, j]**2`` by one uncounted streaming pass."""
-    return sum(float(v @ v) for v in _uncounted_columns(oracle))
+    """``sum_ij A[i, j]**2`` from one :meth:`ColumnOracle.column_sq_norms`
+    pass, the columns' sums added in column order."""
+    return sum(oracle.column_sq_norms().tolist())
 
 
 def column_abs_sum_max(oracle: ColumnOracle) -> float:
     """``max_j sum_i |A[i, j]|``; upper bound on the spectral radius."""
-    return max(float(np.abs(v).sum()) for v in _uncounted_columns(oracle))
+    with oracle.counting_paused():
+        return max(float(np.abs(oracle.column(j)[1]).sum()) for j in range(oracle.dim))
 
 
 def max_abs_diag(oracle: ColumnOracle) -> float:

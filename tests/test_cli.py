@@ -426,6 +426,19 @@ class TestCommands:
         assert "f* = ||A||_F^2 - lambda1^2 = " in err
         assert "rank one" in err and "eps_obj" in err
 
+    def test_one_by_one_matrix_refused(self, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n5.0\n")
+        assert main(["solve", "--matrix", str(path), "--method", "GCD-LS-LS"]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 1" in err and "rank one" in err
+
+    def test_one_dimensional_hubbard_sector_refused(self, capsys):
+        assert main(["solve", "--hubbard", "l1=1,l2=1,nup=1,ndown=0",
+                     "--method", "GCD-LS-LS"]) == 2
+        err = capsys.readouterr().err
+        assert "dimension 1" in err and "rank one" in err
+
     def test_bench_rank_one_refused(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"synthetic": "n=20,l1=5,lo=0,hi=0",

@@ -152,6 +152,12 @@ class TestReference:
             ReferenceSolution(lambda1=2.0, v1=np.array([1.0]), lambda2=2.0,
                               fstar=1.0, frob_sq=5.0, source="dense")
 
+    def test_rejects_a_one_by_one_operator(self):
+        oracle = DenseSymmetric(np.array([[5.0]]))
+        with pytest.raises(ValueError, match="dimension 1: the reference needs a second"):
+            compute_reference(oracle)
+        assert oracle.access_count == 0
+
     @pytest.mark.parametrize("n,cutoff", [(20, 2000), (60, 10)])
     def test_rejects_a_gap_within_its_resolution(self, n, cutoff, monkeypatch):
         # rounding splits the doubled eigenvalue by a few ulps on either route

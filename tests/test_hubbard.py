@@ -314,6 +314,28 @@ class TestOracle:
         x = np.random.default_rng(31).standard_normal(oracle.dim)
         assert oracle.matvec(x).tobytes() == (oracle._csc @ x).tobytes()
 
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(l1=3, l2=2, n_up=2, n_down=1),
+        LatticeSpec(l1=4, l2=4, n_up=2, n_down=2),
+        LatticeSpec(l1=1, l2=1, n_up=1, n_down=0),
+    ], ids=["3x2-2+1", "4x4-2+2", "1x1-1+0"])
+    def test_matvec_is_add_columns_over_every_column(self, spec):
+        # the two row halves, one on the helper thread, against the scatter
+        # of every column in order
+        oracle = HubbardOracle(spec)
+        x = np.random.default_rng(32).standard_normal(oracle.dim)
+        expect = np.zeros(oracle.dim)
+        oracle.add_columns(np.arange(oracle.dim), x, expect)
+        assert oracle.matvec(x).tobytes() == expect.tobytes()
+        top, bottom = oracle._halves
+        assert top.shape[0] + bottom.shape[0] == oracle.dim
+        assert abs(top.nnz - bottom.nnz) <= oracle.nnz_per_column().max()
+        for half in (top, bottom):
+            assert np.shares_memory(half.data, oracle._csc.data) or half.nnz == 0
+            assert np.shares_memory(half.indices, oracle._csc.indices) or half.nnz == 0
+        if oracle.dim == 1:
+            assert top.shape[0] == 0
+
     def test_reference_same_through_either_product(self, spec44, monkeypatch):
         oracle = HubbardOracle(spec44)
         via_csr = compute_reference(shift_scale(oracle, -1.0, 100.0))

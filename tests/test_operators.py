@@ -293,6 +293,48 @@ class TestAddColumnContract:
         assert out.tobytes() == start
 
 
+class TestColumnSqNorms:
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_bulk_pass_is_dense_algebra_and_the_column_default(self, contract_oracle,
+                                                                 diagonal):
+        a = dense_from_columns(contract_oracle)
+        if not diagonal:
+            np.fill_diagonal(a, 0.0)
+        expect = np.sum(a * a, axis=0)
+        before = contract_oracle.access_count
+        got = contract_oracle.column_sq_norms(diagonal=diagonal)
+        assert contract_oracle.access_count == before
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
+        by_column = operators.ColumnOracle.column_sq_norms(contract_oracle, diagonal=diagonal)
+        assert contract_oracle.access_count == before
+        np.testing.assert_allclose(got, by_column, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_shift_of_a_shift_scales_the_base_sums(self):
+        base = HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1))
+        oracle = shift_scale(shift_scale(base, 0.5, 1.0), -2.0, 3.0)
+        a = dense_from_columns(oracle)
+        np.testing.assert_allclose(oracle.column_sq_norms(), np.sum(a * a, axis=0),
+                                   rtol=1e-13, atol=0)
+
+    def test_hubbard_surveys_read_no_column(self, monkeypatch):
+        oracle = shift_scale(HubbardOracle(LatticeSpec(l1=3, l2=3, n_up=2, n_down=3,
+                                                       t_hop=0.5)), -1.0, 100.0)
+        want = (frobenius_norm_sq(oracle), column_norm_max(oracle))
+        monkeypatch.setattr(operators.ColumnOracle, "column", refuse_column)
+        assert (frobenius_norm_sq(oracle), column_norm_max(oracle)) == want
+
+    def test_dense_surveys_are_the_streaming_sums(self, small_synthetic):
+        # a dense operand keeps the bits of one dot product per column,
+        # added in column order
+        a = small_synthetic.array
+        assert frobenius_norm_sq(small_synthetic) == sum(float(v @ v) for v in a)
+        assert column_norm_max(small_synthetic) == max(float(np.sqrt(v @ v)) for v in a)
+
+
+def refuse_column(self, j):
+    raise AssertionError(f"column {j} read by a bulk pass")
+
+
 class TestStreamingPasses:
     def test_column_norm_max_identity(self):
         assert column_norm_max(DenseSymmetric(np.eye(3))) == pytest.approx(1.0)
