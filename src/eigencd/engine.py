@@ -162,6 +162,7 @@ whole call takes the sequential cumsum, with the draws already made.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -509,9 +510,24 @@ def _ones(size: int) -> np.ndarray:
     return np.ones(size)
 
 
+# A total past the float range is infinite in _block_ends; _certified_draws
+# refuses it and the pick falls back to max|c| and the sequential search, so
+# numpy's overflow report is left out there.  numpy's error state is a context
+# variable, so the sums run in a copy of one context that reports no
+# overflow, set up once: about 0.1 us a call, where entering np.errstate
+# costs about 1 us a pick at n = 19,600 (2-CPU x86 VM).
+_NO_OVERFLOW_REPORT = contextvars.copy_context()
+_NO_OVERFLOW_REPORT.run(np.errstate(over="ignore").__enter__)
+
+
 def _block_ends(values: np.ndarray) -> np.ndarray:
     """Running sums of ``values`` over blocks of :data:`SAMPLE_BLOCK`, by one
-    BLAS product of the blocks with a vector of ones."""
+    BLAS product of the blocks with a vector of ones; a sum past the float
+    range is inf, unreported."""
+    return _NO_OVERFLOW_REPORT.copy().run(_sum_blocks, values)
+
+
+def _sum_blocks(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values.reshape(-1, SAMPLE_BLOCK) @ _ones(SAMPLE_BLOCK))
 
 
@@ -755,13 +771,17 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
 def _vec_ls_direction(state: SolverState, omega: np.ndarray):
     """Exact line search along ``v = grad f`` restricted to omega.
 
-    Fetches each omega column once (counted); returns the optimal alpha,
-    the direction values on omega, and the full-length ``w = A v``.
+    Pays each omega column once, every column as one
+    :meth:`ColumnOracle.sweep`; returns the optimal alpha, the direction
+    values on omega, and the full-length ``w = A v``.
     """
     x, z, nu = state.x, state.z, state.nu
     v = 4.0 * (nu * x[omega] - z[omega])
-    w = np.zeros(state.dim)
-    state.oracle.add_columns(omega, v, w)
+    if omega.size == state.dim:  # omega is sorted and distinct: every column
+        w = state.oracle.sweep(v)
+    else:
+        w = np.zeros(state.dim)
+        state.oracle.add_columns(omega, v, w)
     nv2 = float(v @ v)
     if nv2 == 0.0:
         return 0.0, v, w
@@ -835,11 +855,12 @@ def step(state: SolverState, config: StrategyConfig) -> None:
 
 
 def power_method_step(state: SolverState) -> None:
-    """One power iteration, paid column by column (n accesses).
+    """One power iteration, paid as a full sweep (n accesses).
 
-    ``w = A u`` comes from one :meth:`ColumnOracle.add_columns` call over
-    every column: one ``column()`` call and one access per column, with the
-    arithmetic in bulk and w the column-by-column loop's bit for bit.
+    ``w = A u`` comes from one :meth:`ColumnOracle.sweep`: on an assembled
+    operator one bulk product with the n accesses charged in one counter
+    move, otherwise one ``column()`` call and one access per column, with
+    the arithmetic in bulk and w the column-by-column loop's bit for bit.
 
     The stored iterate is the Rayleigh-scaled current direction, so the
     cached ``nu`` doubles as the eigenvalue estimate and the objective gap
@@ -850,8 +871,7 @@ def power_method_step(state: SolverState) -> None:
     if norm == 0.0:
         raise PowerIterationBreakdown("iterate vanished")
     u = src / norm
-    w = np.zeros(state.dim)
-    state.oracle.add_columns(np.arange(state.dim), u, w)
+    w = state.oracle.sweep(u)
     wnorm = float(np.sqrt(w @ w))
     if wnorm == 0.0:
         raise PowerIterationBreakdown("A x vanished")

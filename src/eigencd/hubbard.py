@@ -33,11 +33,12 @@ over (column, occupied up orbital, occupied down orbital, transfer), adds
 the two parts of each target's row, and sorts the block by (column, row).
 :meth:`HubbardOracle.prepare` runs the kernel block by block into the CSC
 arrays; :func:`hamiltonian_column` runs it on one column, independently of
-any assembled matrix.  Products run through the CSR view of the same arrays,
-split once into two halves of rows with about equal entries, the second
-half on a helper thread; the diagonal positions a shift wrapper needs and
-the squared column norms of the norm surveys come from passes over the CSC
-a block of columns at a time.
+any assembled matrix.  Products (the uncounted set-up product, and a full
+sweep's, charged n accesses at once) run through the CSR view of the same
+arrays, split once into two halves of rows with about equal entries, the
+second half on a helper thread; the diagonal positions a shift wrapper
+needs and the squared column norms of the norm surveys come from passes
+over the CSC a block of columns at a time.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -429,10 +430,11 @@ class HubbardOracle(ColumnOracle):
     Columns are slices of the CSC matrix that :meth:`prepare` assembles; the
     first column or product assembles it, while :meth:`nnz_per_column`
     counts entries without it.  Assembly changes cost only, never
-    accounting: every ``column`` call counts.  :meth:`matvec` runs two
-    halves of the CSR view, the second on a helper thread, and the
-    uncounted passes (:meth:`diagonal_positions`, :meth:`column_sq_norms`)
-    read the CSC arrays in blocks without a ``column`` call.
+    accounting: every ``column`` call counts, and a full sweep counts n.
+    Products (a sweep's and :meth:`matvec`) run two halves of the CSR view,
+    the second on a helper thread, and the uncounted passes
+    (:meth:`diagonal_positions`, :meth:`column_sq_norms`) read the CSC
+    arrays in blocks without a ``column`` call.
     """
 
     def __init__(self, spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP):
@@ -479,20 +481,25 @@ class HubbardOracle(ColumnOracle):
         self._indptr = self._csc.indptr.tolist()  # Python ints slice faster
         self._halves = _row_halves(self._csc)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``H @ x`` through the CSR view of the CSC arrays, in the two row
+    def _product(self, u: np.ndarray) -> np.ndarray:
+        """``H @ u`` through the CSR view of the CSC arrays, in the two row
         halves :meth:`prepare` made; the second half runs on a helper thread.
 
         H is exactly symmetric, so row i of the view is column i: each row
-        sums its terms in the column order of ``_csc @ x``, bit for bit, but
-        the product gathers from x where the CSC one scatters into the result.
+        sums its terms in the column order of ``_csc @ u``, bit for bit, but
+        the product gathers from u where the CSC one scatters into the result.
         scipy's product releases the GIL, so on two CPUs the halves overlap;
-        on one they run one after the other.
+        on one they run one after the other.  A full sweep adds this product
+        in place of its n ``column`` calls, bit for bit their sum.
         """
         self.prepare()
         top, bottom = self._halves
-        lower = _helper().submit(bottom.dot, x)
-        return np.concatenate((top @ x, lower.result()))
+        lower = _helper().submit(bottom.dot, u)
+        return np.concatenate((top @ u, lower.result()))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Uncounted ``H @ x`` for set-up work: the sweep's product."""
+        return self._product(x)
 
     def _blocks(self):
         """``(lo, hi, entries, cols)`` for each block of

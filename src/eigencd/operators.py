@@ -8,7 +8,11 @@ pollutes a solver budget.  The norm surveys read every column's squared
 norm from one uncounted pass, :meth:`ColumnOracle.column_sq_norms`: column
 by column by default, in bulk where an oracle holds its columns in bulk.
 The diagonal is the one other fact a solver reads; each oracle states it
-once, as a vector, and reading it is free.
+once, as a vector, and reading it is free.  A full sweep,
+:meth:`ColumnOracle.sweep`, adds every column once, in order: an oracle
+with a bulk product (an assembled Hubbard sector, and a shift of one)
+charges its n accesses in one counter move and reads no column; any other
+reads them one ``column()`` call each.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ Column = tuple["np.ndarray | None", np.ndarray]
 # add_columns scatters the sparse columns it reads a chunk at a time; a chunk
 # closes once it holds ADD_CHUNK_NNZ nonzeros (about 160 columns of Hubbard
 # 4x4 3+3), so the rows, values, products and index copy it builds stay near
-# 0.5 MB.  Median power step over that sector as 100I - H, 2-CPU x86 VM,
-# by chunk: 2^10 75 ms, 2^12 62, 2^14 60, 2^16 65, 2^18 88; its 19,600
-# column() calls alone take 36 ms.
+# 0.5 MB.  The size was chosen on the column-by-column power step over that
+# sector as 100I - H, which now runs as one sweep product instead; its median
+# on a 2-CPU x86 VM, by chunk: 2^10 75 ms, 2^12 62, 2^14 60, 2^16 65, 2^18 88,
+# of which its 19,600 column() calls took 36 ms.  The chunks still carry
+# init_state, the sampled vector line search and the sweeps of oracles
+# without a bulk product.
 ADD_CHUNK_NNZ = 2 ** 14
 
 # Column values are scaled as ``vals * scalar``: the same product as
@@ -41,10 +48,13 @@ class ColumnOracle(ABC):
     ``column(j)`` returns ``(rows, values)``; ``rows`` of ``None`` means the
     values cover every row (dense column).  Sparse implementations return
     row indices sorted ascending.  Each ``column`` call increments the
-    access counter by exactly one; diagonal reads are free.  A subclass
-    states its diagonal once, in :meth:`_diagonal`.  Returned arrays may be
-    views and must not be modified by callers; solvers add columns into
-    vectors through :meth:`add_column` and :meth:`add_columns` only.
+    access counter by exactly one; diagonal reads are free.  A full sweep
+    (:meth:`sweep`) charges n: through n ``column`` calls, or, where the
+    oracle states a bulk product in :meth:`_product`, in one counter move
+    with no ``column`` call.  A subclass states its diagonal once, in
+    :meth:`_diagonal`.  Returned arrays may be views and must not be
+    modified by callers; solvers add columns into vectors through
+    :meth:`add_column`, :meth:`add_columns` and :meth:`sweep` only.
     """
 
     def __init__(self, dim: int):
@@ -130,6 +140,34 @@ class ColumnOracle(ABC):
                 held = 0
         _scatter(chunk, out)
 
+    def sweep(self, coeffs: np.ndarray) -> np.ndarray:
+        """``A @ coeffs``, every column added once, in order: n accesses.
+
+        Where :meth:`_product` gives a bulk product, the n accesses are
+        charged in one counter move (none while :meth:`counting_paused` is
+        active) and no column is read.  Otherwise it is :meth:`add_columns`
+        over every index into zeros: one :meth:`column` call per column.
+        """
+        product = self._product(coeffs)
+        if product is None:
+            out = np.zeros(self._dim)
+            self.add_columns(range(self._dim), coeffs, out)
+            return out
+        if self._counting:
+            self._accesses += self._dim
+        return product
+
+    def _product(self, u: np.ndarray) -> np.ndarray | None:
+        """``A @ u`` in bulk, no accounting, for :meth:`sweep`; None where
+        the oracle has none, and a sweep reads its columns one by one.
+
+        A dense operand keeps the column loop although ``a @ u`` would do:
+        perfbench counts every ``column()`` call as charged or free, so its
+        power steps must stay ``column()`` calls until the oracle counts its
+        free evaluations itself (ROADMAP item 1(a)).
+        """
+        return None
+
     @abstractmethod
     def _column(self, j: int) -> Column:
         """Raw column evaluation, no accounting."""
@@ -187,7 +225,8 @@ class ColumnOracle(ABC):
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Uncounted ``A @ x`` for setup/reference work only.
 
-        Solvers must not call this; they pay per column instead.
+        Solvers must not call this; they pay per column, or n for a full
+        sweep through :meth:`sweep`.
         """
 
 
@@ -202,7 +241,10 @@ def _scatter(chunk: list[tuple[np.ndarray, np.ndarray, float]], out: np.ndarray)
 
 
 class DenseSymmetric(ColumnOracle):
-    """In-memory dense symmetric matrix; mirrored on construction."""
+    """In-memory dense symmetric matrix; mirrored on construction.
+
+    It states no bulk product yet, so its sweeps read every column (see
+    :meth:`ColumnOracle._product`)."""
 
     def __init__(self, entries: np.ndarray):
         a = np.asarray(entries, dtype=float)
@@ -336,6 +378,11 @@ class ShiftScaled(ColumnOracle):
         if self._diag_pos is None:
             self._diag_list = self.diagonal.tolist()
             self._diag_pos = self._base.diagonal_positions().tolist()
+
+    def _product(self, u: np.ndarray) -> np.ndarray | None:
+        """``a * base_product(u) + b * u`` where the base has a bulk product."""
+        base = self._base._product(u)
+        return None if base is None else self._a * base + self._b * u
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from eigencd.engine import (CubicCoeffs, SolverState, StationaryIterate,
                             stepsize_bound)
 from eigencd.harness import compute_reference
 from eigencd.hubbard import HubbardOracle, LatticeSpec
-from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
-                               max_abs_diag, shift_scale)
+from eigencd.operators import (ColumnOracle, DenseSymmetric, SpectrumSpec,
+                               build_synthetic, max_abs_diag, shift_scale)
 
 from conftest import (dense_objective, fresh_state, grid_newton_min,
                       quartic_gain, scores_state)
@@ -715,7 +716,7 @@ def unscaled_scores(draw):
     return block, c, boundary_draws(rng, draw, c, 1.0, k, at)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(case=unscaled_scores())
 def test_unscaled_certificate_matches_sequential_pick(case):
@@ -732,7 +733,7 @@ def test_unscaled_certificate_matches_sequential_pick(case):
     assert state.rng.values == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", UNSCALED_KINDS)
 def test_unscaled_certificate_decides_off_boundaries(monkeypatch, kind):
     """Uniform draws on each kind of scores: the certificate decides them
@@ -751,6 +752,30 @@ def test_unscaled_certificate_decides_off_boundaries(monkeypatch, kind):
             decided += 1
             assert picks.tolist() == sequential_pick(c, 1.0, draws).tolist()
     assert decided == 0 if kind == "overflow" else decided >= 180
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["block", "running"])
+def test_overflowing_total_falls_back_without_a_warning(where):
+    """Finite scores whose total passes the float range, in one block's sum or
+    only in the running sum of finite block sums: the t = 1 pick falls back
+    to the sequential search, and numpy reports no overflow."""
+    rng = np.random.default_rng(47)
+    n = 2_000
+    if where == "block":
+        c, _ = unscaled_case(rng, "overflow", n, engine.SAMPLE_BLOCK)
+    else:
+        c = rng.uniform(0.5, 1.0, n) * (np.finfo(float).max / engine.SAMPLE_BLOCK)
+    values = np.zeros(-(-n // engine.SAMPLE_BLOCK) * engine.SAMPLE_BLOCK)
+    values[:n] = np.abs(c)
+    block_sums = [sum(part) for part in values.reshape(-1, engine.SAMPLE_BLOCK).tolist()]
+    assert (max(block_sums) == math.inf) is (where == "block")
+    assert engine._block_ends(values)[-1] == math.inf
+    draws = rng.random(3)
+    state = scores_state(c)
+    state.rng = ChosenDraws(draws)
+    assert pick_grad_power(state, 1.0, draws.size).tolist() == \
+        sequential_pick(c, 1.0, draws).tolist()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -1138,12 +1163,18 @@ def _fancy_add(oracle, j, coeff, out):
             out[rows] += coeff * vals
 
 
-def _loop_power_step(state):
+def _loop_power_step(state, shift=None):
+    """With ``shift = (a, b, base)`` for the oracle ``a * base + b * I``, w is
+    ``a * (the base's column loop) + b * u``: a full sweep through a shift of
+    an assembled operator adds the base's product, not the shifted columns."""
     src = state.z if state.ell > 0 else state.x
     u = src / float(np.sqrt(src @ src))
     w = np.zeros(state.dim)
+    looped = state.oracle if shift is None else shift[2]
     for j in range(state.dim):
-        _fancy_add(state.oracle, j, u[j], w)
+        _fancy_add(looped, j, u[j], w)
+    if shift is not None:
+        w = shift[0] * w + shift[1] * u
     rayleigh = float(u @ w)
     scale = np.sqrt(rayleigh) if rayleigh > 0 else 1.0
     state.x = scale * u
@@ -1183,25 +1214,59 @@ def _array_step(state, config):
 
 
 def _power_oracle(kind):
+    """The operator, the seed of x0, and for a shift ``(a, b, base)``."""
     if kind == "hubbard":  # as 100 I - H, so the Rayleigh quotient is positive
         base = HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1))
-        return shift_scale(base, -1.0, 100.0), 3
-    return build_synthetic(SpectrumSpec.gapped_grid(40, 12.0, 0.5, 8.0, seed=3)), 4
+        return shift_scale(base, -1.0, 100.0), 3, (-1.0, 100.0, base)
+    return build_synthetic(SpectrumSpec.gapped_grid(40, 12.0, 0.5, 8.0, seed=3)), 4, None
 
 
 @pytest.mark.parametrize("kind", ["dense", "hubbard"])
 def test_power_steps_match_the_column_loop(kind):
-    oracle, seed = _power_oracle(kind)
+    oracle, seed, shift = _power_oracle(kind)
     x0 = np.random.default_rng(seed).standard_normal(oracle.dim)
     bulk, loop = init_state(oracle, x0, rng=0), init_state(oracle, x0, rng=0)
     for _ in range(5):
         power_method_step(bulk)
-        _loop_power_step(loop)
+        _loop_power_step(loop, shift)
         assert bulk.nu != 1.0  # the Rayleigh scaling ran
         assert float(bulk.nu).hex() == float(loop.nu).hex()
         assert float(bulk.s).hex() == float(loop.s).hex()
         assert bulk.x.tobytes() == loop.x.tobytes()
         assert bulk.z.tobytes() == loop.z.tobytes()
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["hubbard", "shift-hubbard"])
+def test_full_gradient_vec_ls_step_is_one_sweep(shifted, monkeypatch):
+    """A Grad-vecLS step on an assembled operator (Hubbard 4x4 2+2) reads no
+    column and charges n; on the bare operator it is the column loop's step
+    bit for bit, on a shift within roundoff of it."""
+    base = HubbardOracle(LatticeSpec(l1=4, l2=4, n_up=2, n_down=2))
+    oracle = shift_scale(base, -1.0, 100.0) if shifted else base
+    x0 = np.random.default_rng(6).standard_normal(oracle.dim)
+    swept, looped = init_state(oracle, x0, rng=0), init_state(oracle, x0, rng=0)
+    config = StrategyConfig(pick="all", update="vec_ls")
+
+    def refuse(self, j):
+        raise AssertionError(f"column {j} read by a full sweep")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ColumnOracle, "column", refuse)
+        before = oracle.access_count
+        step(swept, config)
+        assert oracle.access_count - before == oracle.dim
+    monkeypatch.setattr(type(oracle), "_product", ColumnOracle._product)
+    before = oracle.access_count
+    step(looped, config)
+    assert oracle.access_count - before == oracle.dim
+    assert not np.array_equal(swept.x, x0)
+    if shifted:
+        np.testing.assert_allclose(swept.x, looped.x, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(swept.z, looped.z, rtol=1e-12, atol=1e-12)
+    else:
+        assert swept.x.tobytes() == looped.x.tobytes()
+        assert swept.z.tobytes() == looped.z.tobytes()
+        assert float(swept.nu).hex() == float(looped.nu).hex()
 
 
 @pytest.fixture(scope="module", params=["dense", "hubbard"])

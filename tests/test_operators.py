@@ -335,6 +335,84 @@ def refuse_column(self, j):
     raise AssertionError(f"column {j} read by a bulk pass")
 
 
+_HUBBARD_4X4 = LatticeSpec(l1=4, l2=4, n_up=2, n_down=2)
+
+# every contract oracle, plus Hubbard 4x4 2+2 (dim 900) bare, as 100 I - H
+# and as a shift of a shift; the names with "hubbard" hold a bulk product
+SWEEP_ORACLES = {
+    **CONTRACT_ORACLES,
+    "hubbard-4x4": lambda: HubbardOracle(_HUBBARD_4X4),
+    "shift-hubbard-4x4": lambda: shift_scale(HubbardOracle(_HUBBARD_4X4), -1.0, 100.0),
+    "shift-shift-hubbard": lambda: shift_scale(shift_scale(
+        HubbardOracle(LatticeSpec(l1=3, l2=2, n_up=2, n_down=1)), 0.5, 1.0), -2.0, 3.0),
+}
+
+
+def _column_loop(oracle, u):
+    """The sweep as one add_columns call over every index, into zeros."""
+    out = np.zeros(oracle.dim)
+    oracle.add_columns(np.arange(oracle.dim), u, out)
+    return out
+
+
+class TestSweep:
+    @pytest.fixture(params=sorted(SWEEP_ORACLES))
+    def sweep_case(self, request):
+        return request.param, SWEEP_ORACLES[request.param]()
+
+    def test_charges_n_and_nothing_while_paused(self, sweep_case):
+        _, oracle = sweep_case
+        u = np.random.default_rng(41).standard_normal(oracle.dim)
+        before = oracle.access_count
+        got = oracle.sweep(u)
+        assert oracle.access_count - before == oracle.dim
+        with oracle.counting_paused():
+            again = oracle.sweep(u)
+        assert oracle.access_count - before == oracle.dim
+        assert again.tobytes() == got.tobytes()
+        np.testing.assert_allclose(got, dense_from_columns(oracle) @ u, rtol=0, atol=1e-11)
+
+    def test_reads_columns_only_without_a_product(self, sweep_case, monkeypatch):
+        # a column-loop oracle reads every column once, in order, and adds
+        # them as add_columns does; a product oracle reads none
+        name, oracle = sweep_case
+        u = np.random.default_rng(42).standard_normal(oracle.dim)
+        u[::5] = 0.0
+        with oracle.counting_paused():
+            expect = _column_loop(oracle, u)
+        reads = []
+        column = oracle.column
+        monkeypatch.setattr(oracle, "column", lambda j: reads.append(j) or column(j))
+        got = oracle.sweep(u)
+        if "hubbard" in name:
+            assert reads == []
+        else:
+            assert reads == list(range(oracle.dim))
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(l1=3, l2=2, n_up=2, n_down=1),
+                                      _HUBBARD_4X4], ids=["3x2-2+1", "4x4-2+2"])
+    def test_shifted_hubbard_is_the_shifted_base_loop(self, spec, monkeypatch):
+        a, b = -1.0, 100.0
+        base = HubbardOracle(spec)
+        oracle = shift_scale(base, a, b)
+        u = np.random.default_rng(44).standard_normal(oracle.dim)
+        with base.counting_paused(), oracle.counting_paused():
+            base_loop = _column_loop(base, u)
+            shifted_loop = _column_loop(oracle, u)
+            h = dense_from_columns(base)
+        monkeypatch.setattr(operators.ColumnOracle, "column", refuse_column)
+        got = oracle.sweep(u)
+        assert got.tobytes() == (a * base_loop + b * u).tobytes()
+        # against the shifted column loop the sums round differently: row i
+        # adds nnz_i + 1 rounded terms either way, so the two differ by at
+        # most (nnz_i + 3) eps times the sum of the terms' magnitudes
+        scale = abs(a) * (np.abs(h) @ np.abs(u)) + abs(b) * np.abs(u)
+        bound = (np.count_nonzero(h, axis=1) + 3) * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - shifted_loop) <= bound)
+        assert not np.array_equal(got, shifted_loop)  # the bound is not vacuous here
+
+
 class TestStreamingPasses:
     def test_column_norm_max_identity(self):
         assert column_norm_max(DenseSymmetric(np.eye(3))) == pytest.approx(1.0)
