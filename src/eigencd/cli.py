@@ -62,7 +62,7 @@ def parse_method(name: str, k: int = 1, gamma: float | None = None,
         known = ", ".join(sorted(METHOD_TABLE))
         raise UsageError(f"unknown method {name!r}; supported: {known}")
     pick, update, name_t = METHOD_TABLE[base]
-    samples = pick == "grad_power"
+    samples = not StrategyConfig(pick, update).deterministic
     batches = update != "vec_ls" and pick != "pm"  # averaged divides their k > 1 steps
     for option, value, unset, reads in (("t", suffix_t if t is None else t, None, samples),
                                         ("replacement", with_replacement, True, samples),

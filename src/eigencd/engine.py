@@ -30,11 +30,11 @@ When ``p_j > 0``, h_j is 4 p_j-strongly convex, so
 
     gain_j >= -key_j,   key_j = 2 d_j^2 / p_j.
 
-Each sweep has an incumbent ``G``: the k-th best exact gain of a few seed
-coordinates, from the scalar twin :func:`solve_cubic_min` at the current
-state (any exact gain is a valid incumbent).  Coordinate j can still be
-among the k best only when ``key_j >= -G``, up to the margin below, or when
-``p_j <= 0``.
+Each sweep has an incumbent ``G``: the k-th best gain of a few seed
+coordinates at the current state, from :func:`solve_cubic_min`.  That is
+:func:`cubic_min_roots` bit for bit, so each seed's gain is the very number
+the sweep computes for it.  Coordinate j can still be among the k best only
+when ``key_j >= -G``, up to the margins below, or when ``p_j <= 0``.
 
 The keys are cached on the state as upper keys ``U_j``, computed at a
 reference ``nu0`` and valid for every ``nu`` with ``|nu - nu0| <= Delta``,
@@ -93,9 +93,9 @@ each term is at least the one stated here:
   ``840 u key``; elsewhere ``h >= 2 |d a|`` outweighs it.  So the computed
   gain at any a is at least ``-(1 + 840 u) key``, and lowering ``p_j`` by
   ``eta s >= eta p`` scales U_j up by at least ``1 + eta``.
-* ``bar = -G - eta (2 |G| + S)``, where S is the seeds' largest
-  ``_quartic_gain`` term sum, covers the rounding of the seeds' gains and any
-  difference between the scalar and the vector closed forms.
+* So the computed ``gain_j >= -(1 + 840 u) / (1 + eta) U_j >= -U_j``, and the
+  bar is ``-G``: ``U_j < -G`` gives ``gain_j > G``, and the seeds' gains are
+  the sweep's own, so j trails k of them and is not among the k best.
 
 States with ``s`` above ``2^300`` (or NaN) are not screened: near overflow
 the closed forms themselves return NaN.  Below :data:`SCREEN_MIN_DIM`
@@ -296,21 +296,9 @@ def cubic_min_roots(b, c, d):
     return out
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _polish_scalar(alpha: float, b: float, c: float, d: float) -> float:
-    for _ in range(2):
-        slope = c + alpha * (2.0 * b + 3.0 * alpha)
-        if slope == 0.0:
-            break
-        alpha -= (d + alpha * (c + alpha * (b + alpha))) / slope
-    return alpha
-
-
 def solve_cubic_min(coeffs: CubicCoeffs) -> float:
-    """Scalar twin of :func:`cubic_min_roots` (pure math, hot-loop cheap)."""
+    """:func:`cubic_min_roots` of one cubic, bit for bit: its operations in its
+    order on Python floats, numpy's ``cbrt``, ``arccos`` and ``cos`` included."""
     b, c, d = float(coeffs.b), float(coeffs.c), float(coeffs.d)
     shift = b / 3.0
     p = c - b * shift
@@ -318,17 +306,28 @@ def solve_cubic_min(coeffs: CubicCoeffs) -> float:
     disc = 0.25 * q * q + p * p * p / 27.0
     if disc > 0:
         s = math.sqrt(disc)
-        y = _cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)
-        return _polish_scalar(y - shift, b, c, d)
-    m = 2.0 * math.sqrt(max(-p / 3.0, 0.0))
-    denom = p * m
-    ratio = 3.0 * q / denom if denom != 0.0 else 0.0
-    theta = math.acos(min(1.0, max(-1.0, ratio))) / 3.0
-    r_hi = _polish_scalar(m * math.cos(theta) - shift, b, c, d)
-    r_lo = _polish_scalar(m * math.cos(theta - 2.0 * _TWO_PI_3) - shift, b, c, d)
-    if _quartic_gain(r_hi, b, c, d) < _quartic_gain(r_lo, b, c, d):
-        return r_hi
-    return r_lo
+        half_q = 0.5 * q
+        roots = (float(np.cbrt(-half_q + s)) + float(np.cbrt(-half_q - s)) - shift,)
+    else:
+        third = -p / 3.0  # np.maximum(third, 0.0): NaN stays, -0.0 becomes 0.0
+        m = 2.0 * math.sqrt(third if not third <= 0.0 else 0.0)
+        denom = p * m
+        ratio = 3.0 * q / denom if denom != 0.0 else 0.0
+        ratio = 1.0 if ratio > 1.0 else -1.0 if ratio < -1.0 else ratio  # np.clip keeps NaN
+        theta = float(np.arccos(ratio)) / 3.0
+        roots = (m * float(np.cos(theta)) - shift,
+                 m * float(np.cos(theta - 2.0 * _TWO_PI_3)) - shift)
+    polished = []
+    for alpha in roots:
+        for _ in range(2):  # _newton_polish: a zero or NaN slope takes no step
+            slope = c + alpha * (2.0 * b + 3.0 * alpha)
+            if abs(slope) > 0.0:
+                alpha -= _cubic_value(alpha, b, c, d) / slope
+        polished.append(alpha)
+    if len(polished) == 1:
+        return polished[0]
+    r_hi, r_lo = polished
+    return r_hi if _quartic_gain(r_hi, b, c, d) < _quartic_gain(r_lo, b, c, d) else r_lo
 
 
 def delta_f(alpha: float, coeffs: CubicCoeffs) -> float:
@@ -731,14 +730,9 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
         seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
         seeds.update(_largest(state.abs_scores()[:x.size], k))
-    gains, size = [], 0.0
-    for j in seeds:
-        coeffs = coord_cubic(state, j)
-        alpha = solve_cubic_min(coeffs)
-        gains.append(delta_f(alpha, coeffs))
-        size = max(size, _quartic_gain(abs(alpha), *map(abs, coeffs)))
-    best = float(np.sort(gains)[k - 1])
-    bar = -best - SCREEN_ETA * (2.0 * abs(best) + size)
+    cubics = [coord_cubic(state, j) for j in seeds]
+    gains = [delta_f(solve_cubic_min(coeffs), coeffs) for coeffs in cubics]
+    bar = -float(np.sort(gains)[k - 1])
     if not bar > -math.inf:
         bar = -math.inf  # a NaN incumbent screens nothing out
     return np.flatnonzero(keys >= bar)

@@ -77,9 +77,13 @@ def engine_suite(seed: int = 1) -> list[CheckRow]:
         j = int(rng.integers(30))
         coeffs = engine.coord_cubic(state, j)
         alpha = engine.solve_cubic_min(coeffs)
+        # h(a) = f(x + a e_j) - f(x) = a^4 + 4/3 b a^3 + 2 c a^2 + 4 d a
+        gain = np.array([1.0, 4.0 / 3.0 * coeffs.b, 2.0 * coeffs.c, 4.0 * coeffs.d, 0.0])
+        slope, curvature = np.polyder(gain), np.polyder(gain, 2)
         grid = np.linspace(-12.0, 12.0, 4001)
-        gains = engine._quartic_gain(grid, *coeffs)
-        best = engine._polish_scalar(grid[int(np.argmin(gains))], *coeffs)
+        best = float(grid[int(np.argmin(np.polyval(gain, grid)))])
+        for _ in range(2):  # Newton on h'(a) = 0
+            best -= float(np.polyval(slope, best) / np.polyval(curvature, best))
         worst = max(worst, engine.delta_f(alpha, coeffs)
                     - engine.delta_f(best, coeffs))
     rows.append(("coordinate line search beats grid+Newton scan", worst <= 1e-8,

@@ -49,50 +49,28 @@ class TestCubicSolver:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         b, c, d = rng.standard_normal((3, 500)) * 3.0
-        vec = cubic_min_roots(b, c, d)
-        for i in range(0, 500, 37):
-            assert vec[i] == pytest.approx(
-                solve_cubic_min(CubicCoeffs(b[i], c[i], d[i])), abs=1e-12)
+        scalar = [solve_cubic_min(CubicCoeffs(*coeffs)) for coeffs in zip(b, c, d)]
+        assert cubic_min_roots(b, c, d).tobytes() == np.array(scalar).tobytes()
 
 
-def _polish(alpha, b, c, d):
-    for _ in range(2):
-        slope = c + alpha * (2.0 * b + 3.0 * alpha)
-        val = d + alpha * (c + alpha * (b + alpha))
-        alpha = alpha - np.divide(val, slope, out=np.zeros_like(alpha),
-                                  where=np.abs(slope) > 0)
-    return alpha
-
-
-def branchwise_cubic_min_roots(b, c, d):
-    """The kernel's arithmetic, each branch and each candidate root solved
-    and polished in its own pass."""
-    shift = b / 3.0
-    p = c - b * shift
-    q = shift * (2.0 * shift * shift - c) + d
-    disc = 0.25 * q * q + p * p * p / 27.0
-    out = np.empty_like(p)
-    one = disc > 0
-    s, half_q = np.sqrt(disc[one]), 0.5 * q[one]
-    out[one] = _polish(np.cbrt(-half_q + s) + np.cbrt(-half_q - s) - shift[one],
-                       b[one], c[one], d[one])
-    three = ~one
-    pm, qm, bm, cm, dm = p[three], q[three], b[three], c[three], d[three]
-    m = 2.0 * np.sqrt(np.maximum(-pm / 3.0, 0.0))
-    ratio = np.divide(3.0 * qm, pm * m, out=np.zeros_like(qm), where=pm * m != 0)
-    theta = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
-    r_hi = _polish(m * np.cos(theta) - shift[three], bm, cm, dm)
-    r_lo = _polish(m * np.cos(theta - 4.0 * np.pi / 3.0) - shift[three], bm, cm, dm)
-    out[three] = np.where(quartic_gain(r_hi, bm, cm, dm) < quartic_gain(r_lo, bm, cm, dm),
-                          r_hi, r_lo)
-    return out
+# Cubics every example of the kernel test carries: one real root; three (a
+# double well, with its exact tie); disc == 0 at a double root and at a triple
+# root at 0, where -p / 3 is -0.0 and the polish meets a zero slope; -0.0
+# coefficients; NaN slopes from NaN and inf coefficients; 1e+-300.
+EDGE_CUBICS = [(0.0, 3.0, -4.0), (0.3, 3.0, -4.0), (0.0, -1.0, 0.0), (0.1, -2.0, 0.3),
+               (0.0, -3.0, 2.0), (0.0, -12.0, -16.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+               (0.0, -0.0, 1.0), (np.nan, 1.0, 1.0), (0.0, np.inf, 1.0), (np.inf, 0.0, 0.0),
+               (0.0, -np.inf, 0.0), (1.0, 1.0, np.nan), (1e300, 1e300, 1e300),
+               (0.0, -1e-300, 1e-300), (1e-300, 1e300, -1e300)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), wells=st.integers(0, 3),
+       doubles=st.integers(0, 3),
        special=st.lists(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300]),
                         max_size=6))
-def test_stacked_kernel_matches_branchwise_solves(n, seed, wells, special):
+def test_stacked_kernel_matches_scalar_solves(n, seed, wells, doubles, special):
+    """The kernel's bytes are :func:`solve_cubic_min`'s, element by element."""
     rng = np.random.default_rng(seed)
     b, c, d = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, n))
     if n:
@@ -100,10 +78,25 @@ def test_stacked_kernel_matches_branchwise_solves(n, seed, wells, special):
             rng.choice([b, c, d])[rng.integers(0, n)] = value
         for j in rng.integers(0, n, size=wells):  # symmetric double wells: exact ties
             b[j], c[j], d[j] = 0.0, -rng.uniform(1e-3, 1e3), 0.0
+        for j in rng.integers(0, n, size=doubles):  # (a - r)^2 (a + 2 r): disc == 0
+            r = 2.0 ** int(rng.integers(-20, 20)) * rng.choice([-1.0, 1.0])
+            b[j], c[j], d[j] = 0.0, -3.0 * r * r, 2.0 * r ** 3
+    edges = (np.array(v) for v in zip(*EDGE_CUBICS))
+    b, c, d = (np.concatenate(pair) for pair in zip((b, c, d), edges))
     with np.errstate(all="ignore"):
         got = cubic_min_roots(b, c, d)
-        want = branchwise_cubic_min_roots(b, c, d)
-    assert got.tobytes() == want.tobytes()
+    want = [solve_cubic_min(CubicCoeffs(*coeffs)) for coeffs in zip(b, c, d)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_edge_cubics_cover_each_branch():
+    b, c, d = (np.array(v) for v in zip(*EDGE_CUBICS))
+    with np.errstate(all="ignore"):
+        shift = b / 3.0
+        p = c - b * shift
+        q = shift * (2.0 * shift * shift - c) + d
+        disc = 0.25 * q * q + p * p * p / 27.0
+    assert (disc > 0).any() and (disc < 0).any() and (disc == 0).any() and np.isnan(disc).any()
 
 
 class TestCoordCubic:
