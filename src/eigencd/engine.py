@@ -34,12 +34,13 @@ Each sweep has an incumbent ``G``: the k-th best gain of a few seed
 coordinates at the current state, from :func:`solve_cubic_min`.  That is
 :func:`cubic_min_roots` bit for bit, so each seed's gain is the very number
 the sweep computes for it.  Coordinate j can still be among the k best only
-when ``key_j >= -G``, up to the margins below, or when ``p_j <= 0``.
+when ``key_j >= -G``, up to the margins below, or when ``p_j <= 0``.  The
+sweep screens in two stages, and solves one coordinate at a time.
 
-The keys are cached on the state as upper keys ``U_j``, computed at a
-reference ``nu0`` and valid for every ``nu`` with ``|nu - nu0| <= Delta``,
-``Delta = SCREEN_DRIFT * s0`` (s as below, at ``nu0``).  For fixed
-``x_j, z_j, A_jj``, a move of nu by at most Delta
+First stage.  The keys are cached on the state as upper keys ``U_j``,
+computed at a reference ``nu0`` and valid for every ``nu`` with
+``|nu - nu0| <= Delta``, ``Delta = SCREEN_DRIFT * s0`` (s as below, at
+``nu0``).  For fixed ``x_j, z_j, A_jj``, a move of nu by at most Delta
 
 * lowers ``p_j = nu - x_j^2 - A_jj`` by at most Delta;
 * raises ``|d_j| = |nu x_j - z_j|`` by at most ``Delta |x_j|``;
@@ -53,11 +54,31 @@ Since ``2 d^2 / p`` grows with ``|d|`` and falls with ``p > 0``,
 
 bounds ``key_j`` with its margins at every nu of the window, and U_j is set
 to inf where ``p_lo_j <= 0`` or U_j is NaN (NaN and inf in x or z land
-there).  A sweep takes as candidates the coordinates with ``U_j >= bar``,
-one comparison that keeps every inf, and sends them through one
-:func:`cubic_min_roots` call with the full sweep's formulas, so the winner,
-its step and the tie to the lowest index are the full sweep's bit for bit.
-A NaN ``bar`` screens nothing out.
+there).  Its numerator is at least ``(eta s+^1.5)^2 > 0``, so those are the
+entries where the computed U_j is not positive.  The candidates are the
+coordinates with ``U_j >= -G``, one comparison over n that keeps every inf.
+
+Second stage.  The same key at the current nu, with ``Delta = 0`` and the
+same eta margins (on ``s+ >= s``, so the argument below holds as it stands),
+
+    K_j = 2 (|d_j| + eta s+^1.5)^2 / (p_j - eta s+),   inf as above,
+
+drops the candidates with ``K_j < -G``.  The slack ``Delta |x_j|`` is what
+lets most candidates through the first stage: along GCD-LS-LS to 1e-4 on
+Hubbard 4x4 3+3, a median of 199 candidates, against 5 coordinates with
+``K_j`` at least minus the sweep's best gain.  The rest are solved best
+first.  Let ``G_k`` be the k-th best ``(gain, index)`` among the coordinates
+solved so far, the seeds included.  The stage solves the candidate with the
+largest finite ``K_j`` (mostly the winner, which settles ``G_k`` at once),
+then the others in descending order of ``K_j``, and stops at the first
+``K_j < -G_k``.  Every coordinate left then has ``K_j < -G_k``, so its gain
+is above ``G_k`` (below) and it trails k solved ones.  A key equal to
+``-G_k`` does not stop the stage: where ``G_k = -inf`` every key left is
+inf.  The k best solved coordinates, ordered by ``(gain, index)``, are the
+full sweep's winners, their steps and the tie to the lowest index bit for
+bit.  Where a solved gain is NaN (the full sweep's order then depends on
+numpy's NaN rules) the first stage's candidates go through one
+:func:`cubic_min_roots` call with the full sweep's formulas.
 
 Invalidation.  U_j reads only ``x_j``, ``z_j``, ``A_jj`` and the cache's
 constants.  A step on coordinate j changes ``x_j`` and z on the rows of
@@ -70,15 +91,16 @@ calls, and which runs every n coordinate applications, so the record of
 touched rows stays below 2n entries), :func:`power_method_step`, and a dense
 column, which touches every row.
 
-The seeds are the last sweep's best ``SCREEN_SEEDS * k`` coordinates; on a
-rebuild, or when they are fewer than k, also the coordinate with the
-largest finite U and the one with the largest gradient ``|d_j|`` (the k of
-each).
+The seeds are the last sweep's best ``SCREEN_SEEDS * k`` solved coordinates
+less its k picks, which a step has just moved to (or, in an averaged batch,
+toward) their line minima; on a rebuild, or when they are fewer than k, also
+the coordinate with the largest finite U and the one with the largest
+gradient ``|d_j|`` (the k of each).
 
 The margin covers rounding, with ``s = |nu| + max_j |A_jj|`` (so that
 ``x_j^2 <= s`` and ``p_j <= s`` wherever ``p_j > 0``) and ``eta = 2^-36``,
-about 1e5 times the unit roundoff u.  U_j carries it with ``s+ >= s``, so
-each term is at least the one stated here:
+about 1e5 times the unit roundoff u.  U_j and K_j carry it with ``s+ >= s``,
+so each term is at least the one stated here:
 
 * ``p_j`` is lowered by ``eta s`` and ``|d_j|`` raised by ``eta s^1.5``,
   which bound their distance from ``c - b^2 / 3`` and d of the sweep's own
@@ -93,13 +115,16 @@ each term is at least the one stated here:
   ``840 u key``; elsewhere ``h >= 2 |d a|`` outweighs it.  So the computed
   gain at any a is at least ``-(1 + 840 u) key``, and lowering ``p_j`` by
   ``eta s >= eta p`` scales U_j up by at least ``1 + eta``.
-* So the computed ``gain_j >= -(1 + 840 u) / (1 + eta) U_j >= -U_j``, and the
-  bar is ``-G``: ``U_j < -G`` gives ``gain_j > G``, and the seeds' gains are
-  the sweep's own, so j trails k of them and is not among the k best.
+* So the computed ``gain_j >= -(1 + 840 u) / (1 + eta) U_j >= -U_j``, and
+  the same for K_j: ``K_j < -G`` gives ``gain_j > G``, and the seeds' gains
+  are the sweep's own, so j trails k of them and is not among the k best.
 
 States with ``s`` above ``2^300`` (or NaN) are not screened: near overflow
-the closed forms themselves return NaN.  Below :data:`SCREEN_MIN_DIM`
-coordinates every cubic is solved, unscreened.
+the closed forms themselves return NaN.  Nor are states with ``s`` below
+``2^-300``: there the squares in the keys underflow (at ``s = 1e-110`` the
+keys were 0 against gains near ``-1e-220``), where from ``2^-300`` up every
+key is at least ``2 eta^2 s^2 >= 2^-671``, far from the subnormal range.
+Below :data:`SCREEN_MIN_DIM` coordinates every cubic is solved, unscreened.
 
 The sampled pick (``grad_power``, t > 0, with replacement) draws j with
 probability proportional to ``w_j = (|c_j| / M)^t``, ``M = max|c|``, by the
@@ -162,6 +187,7 @@ whole call takes the sequential cumsum, with the draws already made.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import functools
 import math
@@ -174,33 +200,46 @@ from .operators import ColumnOracle, column_norm_max, max_abs_diag
 
 _TWO_PI_3 = 2.0 * np.pi / 3.0
 
-# The greedy sweep screens only from this dimension up.  A screened sweep
+# The greedy sweep screens from this dimension up.  A screened sweep
 # refreshes the cached keys on the rows the last step touched (every row
-# after a dense column), solves a few scalar seeds, compares n keys with
-# the bar and gathers the candidates, and the one cubic_min_roots call
-# keeps a fixed cost of about 45 us however few coordinates it gets.
-# Median sweep, full -> screened, along GCD-LS-LS runs on a 2-CPU x86 VM:
-# Hubbard 100I-H sectors n = 104 61 -> 107 us, 783 86 -> 105, 1,210
-# 96 -> 100, 1,440 101 -> 106, 1,820 113 -> 115, 2,366 145 -> 105, 3,185
-# 171 -> 107, 4,036 197 -> 106, 19,600 751 -> 107; dense synthetic n = 500
-# 68 -> 106, 1,500 100 -> 108, 2,000 120 -> 121, 3,000 157 -> 124.  The
-# crossover is near n = 2,000 on both kinds of input (on dense input every
-# sweep rebuilds all keys), and the floor keeps the n = 500 suite unscreened.
-SCREEN_MIN_DIM = 2500
+# after a dense column), solves a few scalar seeds, compares n keys with the
+# bar, recomputes the keys of the candidates and solves about three more one
+# at a time; without cubic_min_roots' fixed cost of about 45 us it wins at
+# every size measured.  Median sweep in us, full -> screened, along GCD-LS-LS
+# runs (to 1e-4, at most 1,500 sweeps) on a 2-CPU x86 VM: Hubbard 100I-H
+# sectors n = 15 72 -> 59, 39 74 -> 63, 104 75 -> 62, 783 110 -> 79, 1,210
+# 131 -> 66, 1,440 138 -> 62, 1,820 156 -> 62, 3,185 228 -> 68, 4,036
+# 260 -> 70, 19,600 959 -> 82; dense synthetic n = 40 72 -> 67, 60 73 -> 68,
+# 100 74 -> 65, 250 80 -> 70, 500 95 -> 68, 1,000 118 -> 76, 2,000
+# 171 -> 89, 3,000 230 -> 110 (on dense input every sweep rebuilds all
+# keys).  Below n = 100 the gain is a few us, and the floor keeps the tiny
+# operators' sweeps on the one vector call.
+SCREEN_MIN_DIM = 100
 SCREEN_ETA = 2.0 ** -36
+SCREEN_MIN_SCALE = 2.0 ** -300
 SCREEN_MAX_SCALE = 2.0 ** 300
 
 # The cached screen keys stay valid while nu moves by at most SCREEN_DRIFT * s
 # (s = |nu| + max|A_jj|, about 225 on Hubbard 100I-H), and each sweep seeds
-# its incumbent with the last sweep's best SCREEN_SEEDS * k coordinates.
-# Along GCD-LS-LS to 1e-4 on Hubbard 4x4 3+3 (3,923 sweeps, 2-CPU x86 VM),
-# drift / seeds: full rebuilds, candidates median / p90 / mean, us per step:
-# 2^-7 / 4: 2, 479 / 694 / 460, 151;  2^-9 / 2: 29, 217 / 916 / 1,023, 172;
-# 2^-9 / 4: 29, 195 / 293 / 182, 134;  2^-9 / 8: 29, 172 / 286 / 170, 149;
-# 2^-11 / 4: 485, 83 / 155 / 91, 156;  2^-13 / 4: 1,069, 51 / 121 / 61, 179.
-# With one seed per pick the median sweep keeps all 19,600 coordinates (about
-# 960 us per step): the only seed is the coordinate just stepped, whose gain
-# is then about 0.
+# its incumbent with the last sweep's best SCREEN_SEEDS * k coordinates less
+# its k picks.  Along GCD-LS-LS on Hubbard 4x4 3+3 (2-CPU x86 VM; us per step
+# the median of 5 runs to 1e-4 and 3 to 1e-6, interleaved), drift / seeds:
+# full rebuilds, first-stage candidates median / p90 / mean, coordinates
+# solved per sweep (seeds included) median / mean, us per step.
+# To 1e-4 (3,923 sweeps):
+# 2^-7 / 4: 2, 513 / 874 / 527, 6 / 7.7, 133;  2^-9 / 2: 29, 253 / 1,842 /
+# 1,156, 6 / 7.4, 142;  2^-9 / 3: 29, 227 / 1,258 / 1,000, 6 / 7.5, 132;
+# 2^-9 / 4: 29, 199 / 486 / 239, 6 / 7.7, 115;  2^-9 / 6: 29, 180 / 412 /
+# 215, 6 / 8.0, 127;  2^-9 / 8: 29, 177 / 412 / 214, 6 / 8.1, 130;
+# 2^-11 / 4: 485, 59 / 332 / 123, 6 / 7.8, 151;  2^-13 / 4: 1,069, 19 / 234 /
+# 85, 6 / 7.9, 190.
+# To 1e-6 (30,885 sweeps):
+# 2^-7 / 4: 3, 5,299 / 8,415 / 4,723, 6 / 6.4, 164;  2^-9 / 3: 30, 2,466 /
+# 5,758 / 3,006, 6 / 6.2, 142;  2^-9 / 4: 30, 2,144 / 5,454 / 2,514, 6 / 6.4,
+# 136;  2^-9 / 6: 30, 2,069 / 5,398 / 2,468, 6 / 6.8, 131;  2^-11 / 4: 486,
+# 883 / 2,511 / 1,121, 6 / 6.5, 127;  2^-13 / 4: 1,167, 447 / 1,329 / 581,
+# 6 / 6.5, 130.
+# Narrower windows gain at most 7% at 1e-6 and lose 31% or more at 1e-4.
 SCREEN_DRIFT = 2.0 ** -9
 SCREEN_SEEDS = 4
 
@@ -371,11 +410,10 @@ class SolverState:
     def dim(self) -> int:
         return self.x.size
 
-    def abs_scores(self) -> np.ndarray:
-        """``|c|``, ``c = nu x - z`` (the gradient is ``4 c``), in the head of
-        a reused work buffer zero-padded to whole blocks of
-        :data:`SAMPLE_BLOCK`; slice ``[:n]`` for the scores alone.  Valid
-        until the next call."""
+    def scores(self) -> np.ndarray:
+        """``c = nu x - z`` (the gradient is ``4 c``) in the head of a reused
+        work buffer zero-padded to whole blocks of :data:`SAMPLE_BLOCK`; slice
+        ``[:n]`` for the scores alone.  Valid until the next call."""
         size = -(-self.dim // SAMPLE_BLOCK) * SAMPLE_BLOCK
         buf = self._work
         if buf is None or buf.size != size:
@@ -383,6 +421,12 @@ class SolverState:
         head = buf[:self.dim]
         np.multiply(self.nu, self.x, out=head)
         np.subtract(head, self.z, out=head)
+        return buf
+
+    def abs_scores(self) -> np.ndarray:
+        """``|c|`` in place of :meth:`scores`' buffer."""
+        buf = self.scores()
+        head = buf[:self.dim]
         np.abs(head, out=head)
         return buf
 
@@ -500,8 +544,19 @@ def pick_cyclic(state: SolverState) -> int:
 
 
 def pick_gauss_southwell(state: SolverState) -> int:
-    """Largest gradient magnitude, ties to the lowest index."""
-    return int(np.argmax(state.abs_scores()[:state.dim]))
+    """Largest gradient magnitude, ties to the lowest index: ``argmax |c|``
+    bit for bit, read from the signed scores' argmax and argmin without the
+    abs pass.  Both return the first NaN where there is one, and the first
+    index with ``|c|`` at its largest is the lower of the first largest and
+    the first smallest c."""
+    c = state.scores()[:state.dim]
+    hi, lo = int(c.argmax()), int(c.argmin())
+    top, bottom = c.item(hi), -c.item(lo)
+    if top > bottom:
+        return hi
+    if bottom > top:
+        return lo
+    return min(hi, lo)  # equal magnitudes, or hi == lo at a NaN
 
 
 @functools.cache
@@ -655,8 +710,8 @@ def coord_coeffs(nu, x, z, diag):
 
 def coord_cubic(state: SolverState, j: int) -> CubicCoeffs:
     """Line-search cubic along coordinate j; O(1) given cached nu."""
-    return CubicCoeffs(*coord_coeffs(state.nu, float(state.x[j]), float(state.z[j]),
-                                     state.oracle.diag(j)))
+    return CubicCoeffs(*coord_coeffs(state.nu, state.x.item(j), state.z.item(j),
+                                     state.oracle.diagonal.item(j)))
 
 
 class _ScreenCache:
@@ -675,30 +730,34 @@ class _ScreenCache:
         self.seeds = []
 
     def upper_keys(self, x, z, diag) -> np.ndarray:
-        """U of each coordinate given by ``x, z, diag``; inf where its
-        depressed coefficient p may reach 0 or U is NaN."""
-        nu0, drift, s_hi, eta = self.nu0, self.drift, self.scale_hi, SCREEN_ETA
-        # U = 2 (|nu0 x - z| + drift |x| + eta s+^1.5)^2
-        #       / (nu0 - drift - eta s+ - x^2 - diag),
-        # in place where possible: each fresh n-array costs its page faults
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p_lo = x * x
-            np.subtract(nu0 - drift - eta * s_hi, p_lo, out=p_lo)
-            p_lo -= diag
-            key = nu0 * x
-            key -= z
-            np.abs(key, out=key)
+        """U of each coordinate given by ``x, z, diag``."""
+        return _screen_keys(self.nu0, self.drift, self.scale_hi, x, z, diag)
+
+
+def _screen_keys(nu, drift, scale, x, z, diag) -> np.ndarray:
+    """``2 (|nu x - z| + drift |x| + eta scale^1.5)^2 / (nu - drift - eta scale
+    - x^2 - diag)`` of each coordinate given by ``x, z, diag``; inf where the
+    denominator is not positive or the key is NaN."""
+    eta = SCREEN_ETA
+    # in place where possible: each fresh n-array costs its page faults
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_lo = x * x
+        np.subtract(nu - drift - eta * scale, p_lo, out=p_lo)
+        p_lo -= diag
+        key = nu * x
+        key -= z
+        np.abs(key, out=key)
+        if drift:
             slack = np.abs(x)
             slack *= drift
             key += slack
-            key += eta * s_hi ** 1.5
-            key *= key
-            key += key
-            key /= p_lo
-            unsafe = p_lo <= 0.0  # a NaN p_lo makes key NaN
-            unsafe |= np.isnan(key)
-            key[unsafe] = np.inf
-        return key
+        key += eta * scale ** 1.5
+        key *= key
+        key += key
+        key /= p_lo
+    # the numerator is at least (eta scale^1.5)^2 > 0, so key > 0 exactly where
+    # p_lo > 0 and neither is NaN (p_lo = +0.0 gives inf already)
+    return np.where(key > 0.0, key, np.inf)
 
 
 def _largest(values: np.ndarray, k: int) -> list[int]:
@@ -707,10 +766,19 @@ def _largest(values: np.ndarray, k: int) -> list[int]:
     return np.argpartition(values, values.size - k)[values.size - k:].tolist()
 
 
-def _screen(state: SolverState, k: int) -> np.ndarray | None:
-    """Ascending indices of the coordinates that can still be among the k
-    best of the greedy sweep, or None when the state is out of the screen's
-    range and every coordinate must be solved.  See the module docstring.
+def _solve(state: SolverState, j: int) -> tuple[float, float]:
+    """``(gain, alpha)`` of coordinate j's line search, the sweep's bit for bit."""
+    coeffs = coord_cubic(state, j)
+    alpha = solve_cubic_min(coeffs)
+    return delta_f(alpha, coeffs), alpha
+
+
+def _screen(state: SolverState, k: int) -> tuple[np.ndarray, dict] | None:
+    """The greedy sweep's first stage: ascending indices of the coordinates
+    whose cached key can still put them among the k best, and the seeds'
+    line searches as ``{j: (gain, alpha)}``; None when the state is out of
+    the screen's range and every coordinate must be solved.  See the module
+    docstring.
     """
     x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     cache = state._screen_cache
@@ -718,7 +786,7 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     fresh = cache is None or not abs(nu - cache.nu0) <= cache.drift
     if fresh:
         scale = abs(nu) + max_abs_diag(state.oracle)
-        if not scale <= SCREEN_MAX_SCALE:
+        if not SCREEN_MIN_SCALE <= scale <= SCREEN_MAX_SCALE:
             state._screen_cache = None
             return None
         cache = state._screen_cache = _ScreenCache(state, scale)
@@ -730,12 +798,59 @@ def _screen(state: SolverState, k: int) -> np.ndarray | None:
     if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
         seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
         seeds.update(_largest(state.abs_scores()[:x.size], k))
-    cubics = [coord_cubic(state, j) for j in seeds]
-    gains = [delta_f(solve_cubic_min(coeffs), coeffs) for coeffs in cubics]
-    bar = -float(np.sort(gains)[k - 1])
-    if not bar > -math.inf:
-        bar = -math.inf  # a NaN incumbent screens nothing out
-    return np.flatnonzero(keys >= bar)
+    solved = {j: _solve(state, j) for j in seeds}
+    gains = sorted(gain for gain, _ in solved.values() if gain == gain)
+    # the k-th best seed gain; a NaN incumbent (fewer than k others) screens nothing out
+    bar = -gains[k - 1] if len(gains) >= k else -math.inf
+    return np.flatnonzero(keys >= bar), solved
+
+
+def _best_first(state: SolverState, k: int, rows: np.ndarray,
+                solved: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The greedy sweep's second stage on the first stage's candidates
+    ``rows``: their keys at the current nu, solved from the largest down
+    until a key falls below ``-G_k``, the k-th best gain found.  Returns the
+    k best as ``(rows, alphas)`` ordered by (gain, index), or None where a
+    solved gain is NaN.  See the module docstring.
+    """
+    if any(gain != gain for gain, _ in solved.values()):
+        return None
+    top = sorted((gain, j) for j, (gain, _) in solved.items())[:k]
+    cache = state._screen_cache
+    key = _screen_keys(state.nu, 0.0, cache.scale_hi, state.x[rows], state.z[rows],
+                       state.oracle.diagonal[rows])
+    live = np.flatnonzero(key >= -top[-1][0])
+    if live.size > 1:
+        # the largest finite key mostly belongs to the winner: solve it first,
+        # and sort only what its bar leaves
+        finite = np.where(key[live] < np.inf, key[live], -np.inf)
+        if not _admit(state, rows.item(live[finite.argmax()]), solved, top):
+            return None
+        live = live[key[live] >= -top[-1][0]]
+    order = live[np.argsort(-key[live], kind="stable")]
+    for key_j, j in zip(key[order].tolist(), rows[order].tolist()):
+        if key_j < -top[-1][0]:
+            break
+        if not _admit(state, j, solved, top):
+            return None
+    best = sorted((gain, j) for j, (gain, _) in solved.items())
+    cache.seeds = [j for _, j in best[k:SCREEN_SEEDS * k]]  # the picks step off
+    return (np.array([j for _, j in top], dtype=np.int64),
+            np.array([solved[j][1] for _, j in top]))
+
+
+def _admit(state: SolverState, j: int, solved: dict, top: list) -> bool:
+    """Solve coordinate j unless it is solved already, and keep ``top``, the
+    k best ``(gain, index)`` pairs, up to date; False where its gain is NaN."""
+    if j in solved:
+        return True
+    gain, _ = solved[j] = _solve(state, j)
+    if gain != gain:
+        return False
+    if (gain, j) < top[-1]:
+        bisect.insort(top, (gain, j))
+        top.pop()
+    return True
 
 
 def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -747,9 +862,15 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
     winners, so the result is the full sweep's bit for bit.
     """
     x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
-    rows = _screen(state, k) if k < x.size and x.size >= SCREEN_MIN_DIM else None
-    if rows is not None:
-        x, z, diag = x[rows], z[rows], diag[rows]
+    rows = None
+    if k < x.size and x.size >= SCREEN_MIN_DIM:
+        screened = _screen(state, k)
+        if screened is not None:
+            picked = _best_first(state, k, *screened)
+            if picked is not None:
+                return picked
+            rows = screened[0]
+            x, z, diag = x[rows], z[rows], diag[rows]
     b, c, d = coord_coeffs(nu, x, z, diag)
     alphas = cubic_min_roots(b, c, d)
     gains = _quartic_gain(alphas, b, c, d)
@@ -759,8 +880,8 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
         order = np.lexsort((np.arange(gains.size), gains))[:k]
     if rows is None:
         return order, alphas[order]
-    best = min(SCREEN_SEEDS * k, gains.size)
-    state._screen_cache.seeds = rows[np.argpartition(gains, best - 1)[:best]].tolist()
+    best = np.argpartition(gains, min(SCREEN_SEEDS * k, gains.size) - 1)[:SCREEN_SEEDS * k]
+    state._screen_cache.seeds = rows[np.setdiff1d(best, order)].tolist()  # the picks step off
     return rows[order], alphas[order]
 
 

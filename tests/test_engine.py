@@ -338,21 +338,33 @@ def closed_form_sweep(state, k):
 
 def assert_sweep_is_exact(state):
     for k in (1, 3):
-        rows, alphas = pick_greedy_ls(state, k)
+        rows, alphas = engine.pick_greedy_ls(state, k)
         assert (rows.tolist(), alphas.tobytes()) == closed_form_sweep(state, k)
 
 
 @pytest.fixture
 def screen_everywhere(monkeypatch):
-    """Screen every sweep, and count the coordinates sent to the closed forms."""
+    """Screen every sweep, and count the coordinates each sweep solves, in the
+    vector kernel or one at a time (the seeds included)."""
     monkeypatch.setattr(engine, "SCREEN_MIN_DIM", 1)
     solved = []
+    sweep = engine.pick_greedy_ls
 
-    def counting(b, c, d):
-        solved.append(np.size(b))
+    def counting_sweep(state, k=1):
+        solved.append(0)
+        return sweep(state, k)
+
+    def vector(b, c, d):
+        solved[-1] += np.size(b)
         return cubic_min_roots(b, c, d)
 
-    monkeypatch.setattr(engine, "cubic_min_roots", counting)
+    def scalar(coeffs):
+        solved[-1] += 1
+        return solve_cubic_min(coeffs)
+
+    monkeypatch.setattr(engine, "pick_greedy_ls", counting_sweep)
+    monkeypatch.setattr(engine, "cubic_min_roots", vector)
+    monkeypatch.setattr(engine, "solve_cubic_min", scalar)
     return solved
 
 
@@ -374,6 +386,7 @@ def test_screened_sweep_exact_along_hubbard_runs(case, screen_everywhere):
     for _ in range(250):
         assert_sweep_is_exact(state)
         step(state, config)
+    assert len(screen_everywhere) == 3 * 250  # k = 1 and 3, then the step's own
     screened_out = [size < oracle.dim for size in screen_everywhere]
     assert sum(screened_out) >= 0.2 * len(screened_out)
 
@@ -548,6 +561,179 @@ def test_screen_cache_costs_other_picks_nothing(small_synthetic):
         for _ in range(5):
             step(state, config)
         assert state._screen_cache is None
+
+
+def documented_keys(nu, drift, scale, x, z, diag, d_share=0.5, p_share=0.5):
+    """The module docstring's screen key with shares of the rounding margins:
+    ``2 (|nu x - z| + drift |x| + d_share eta scale^1.5)^2
+    / (nu - drift - p_share eta scale - x^2 - diag)``, NaN where the
+    denominator is not positive."""
+    eta = engine.SCREEN_ETA
+    p = nu - drift - p_share * eta * scale - x * x - diag
+    d = np.abs(nu * x - z) + drift * np.abs(x) + d_share * eta * scale ** 1.5
+    return np.where(p > 0.0, 2.0 * d * d / p, np.nan)
+
+
+def margin_state(margin):
+    """x = 0, nu = 0 and s = 1, where coordinate 1 carries one margin: a
+    gradient far below the |d| margin ``eta``, or a steep coordinate
+    (|d| = 1, p = 0.01) whose key the p margin moves by about 100 eta against
+    the |d| margin's 2 eta.  The other coordinates have smaller keys."""
+    diag = np.array([-1.0, -0.01, -1.0, -1.0])
+    z = np.array([0.0, 1e-20 if margin == "d" else -1.0, 0.0, 0.0])
+    if margin == "d":
+        diag[1] = -0.5
+    return SolverState(DenseSymmetric(np.diag(diag)), np.zeros(4), z,
+                       np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("margin", ["p", "d"])
+def test_each_margin_keeps_a_first_stage_candidate(margin):
+    """The cached keys carry both margins: at a bar of half-margin keys every
+    coordinate stays a candidate, where a key without the margin falls below
+    it on coordinate 1."""
+    state = margin_state(margin)
+    cache = engine._ScreenCache(state, abs(state.nu) + max_abs_diag(state.oracle))
+    args = (cache.nu0, cache.drift, cache.scale_hi, state.x, state.z, state.oracle.diagonal)
+    bar = documented_keys(*args)
+    assert np.all(cache.keys >= bar)
+    without = documented_keys(*args, d_share=float(margin == "p"), p_share=float(margin == "d"))
+    assert without[1] < bar[1]
+
+
+@pytest.mark.parametrize("margin", ["p", "d"])
+def test_each_margin_keeps_a_second_stage_solve(margin):
+    """The second stage solves coordinate 1 against an incumbent at its
+    half-margin key, which a key without the margin would drop."""
+    state = margin_state(margin)
+    cache = state._screen_cache = engine._ScreenCache(
+        state, abs(state.nu) + max_abs_diag(state.oracle))
+    bar = documented_keys(state.nu, 0.0, cache.scale_hi, state.x, state.z,
+                          state.oracle.diagonal)
+    assert bar[1] > np.max(np.delete(bar, 1))  # coordinate 1 alone is live
+    solved = {0: (-float(bar[1]), 0.0)}
+    engine._best_first(state, 1, np.arange(state.dim), solved)
+    assert 1 in solved
+
+
+def test_stop_rule_keeps_ties_at_an_infinite_bar():
+    """Two coordinates whose gains overflow to -inf, where every key is inf:
+    the seed is the higher one (the larger |d|), so the best-first stage must
+    go on at ``key == -G = inf`` to reach the lower index."""
+    diag = np.array([-1.0, -1.22e73, -1.0, -1.22e73, -1.0, -0.5])
+    x = np.array([0.0, -1e103, 0.0, -1e103, 0.0, 0.0])
+    z = np.array([0.1, 1.94e229, 0.2, 3.88e229, 0.3, 0.1])
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(engine, "SCREEN_MIN_DIM", 1)
+        state = SolverState(DenseSymmetric(np.diag(diag)), x, z, np.random.default_rng(0))
+        state.nu = 0.002
+        assert_sweep_is_exact(state)
+        assert pick_greedy_ls(state, 1)[0].tolist() == [1]
+
+
+def test_tiny_scales_are_not_screened():
+    """Below 2^-300 the keys underflow (here to 0 against gains near -1e-220),
+    so such states take the full sweep."""
+    diag = np.full(6, -1e-110)
+    z = np.array([1.0, 3.0, 2.0, 0.5, 3.0, 1.0]) * 1e-165
+    state = SolverState(DenseSymmetric(np.diag(diag)), np.zeros(6), z,
+                        np.random.default_rng(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SCREEN_MIN_DIM", 1)
+        assert_sweep_is_exact(state)
+    assert state._screen_cache is None
+
+
+@st.composite
+def tie_states(draw):
+    """States for the best-first stage: blocks of exact duplicates at
+    different indices, coordinates whose gains overflow to -inf (inf keys),
+    NaN entries, and seeds drawn among any coordinates."""
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0)
+    nu = float(x @ x) + 1.0
+    diag = nu + rng.uniform(-3.0, 1.0, n)
+    z = rng.standard_normal(n) + diag * x
+    for _ in range(draw(st.integers(0, 4))):  # exact duplicates: gain ties
+        src = int(rng.integers(n))
+        for dst in rng.integers(0, n, size=draw(st.integers(1, 3))):
+            x[dst], z[dst], diag[dst] = x[src], z[src], diag[src]
+    for j in rng.choice(n, size=draw(st.integers(0, 2)), replace=False):
+        x[j], z[j], diag[j] = -1e103, rng.choice([1.94e229, 3.88e229]), -1.22e73
+    for _ in range(draw(st.integers(0, 1))):
+        z[rng.integers(n)] = np.nan
+    with np.errstate(all="ignore"):
+        state = SolverState(DenseSymmetric(np.diag(diag)), x, z, np.random.default_rng(0))
+    state.nu = nu
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=6, unique=True))
+    return state, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_states(), k=st.integers(1, 3))
+def test_best_first_matches_the_full_sweep(case, k):
+    """From any seeds, the best-first stage returns the full sweep's k best by
+    (gain, index), or None exactly where the sweep has a NaN gain."""
+    state, seeds = case
+    scale = abs(state.nu) + max_abs_diag(state.oracle)
+    with np.errstate(all="ignore"):
+        state._screen_cache = engine._ScreenCache(state, scale)
+        solved = {j: engine._solve(state, j) for j in seeds}
+        picked = engine._best_first(state, k, np.arange(state.dim), solved)
+        b, c, d = coord_coeffs(state.nu, state.x, state.z, state.oracle.diagonal)
+        gains = quartic_gain(cubic_min_roots(b, c, d), b, c, d)
+        want = closed_form_sweep(state, k)
+    if np.isnan(gains).any():
+        assert picked is None
+    else:
+        assert (picked[0].tolist(), picked[1].tobytes()) == want
+
+
+def test_best_first_orders_ties_by_index():
+    """Three exact duplicates share the best gain; seeded from the highest,
+    the stage returns them lowest index first, then the next gain."""
+    x = np.array([0.0, 0.3, 0.0, 0.3, 0.0, 0.3, 0.1])
+    diag = np.array([-1.0, -2.0, -1.0, -2.0, -1.0, -2.0, -2.0])
+    z = np.array([0.0, -1.0, 0.1, -1.0, 0.0, -1.0, -0.9])
+    state = SolverState(DenseSymmetric(np.diag(diag)), x, z, np.random.default_rng(0))
+    state._screen_cache = engine._ScreenCache(state, abs(state.nu) + 2.0)
+    for k, want in ((1, [1]), (3, [1, 3, 5]), (4, [1, 3, 5, 6])):
+        solved = {5: engine._solve(state, 5), 0: engine._solve(state, 0),
+                  2: engine._solve(state, 2), 4: engine._solve(state, 4)}
+        rows, alphas = engine._best_first(state, k, np.arange(7), solved)
+        assert rows.tolist() == want
+        assert (rows.tolist(), alphas.tobytes()) == closed_form_sweep(state, k)
+
+
+SIGNED_SCORES = st.sampled_from([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan]) | \
+    st.floats(allow_nan=False, width=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.lists(SIGNED_SCORES, min_size=1, max_size=12))
+def test_signed_gauss_southwell_is_argmax_abs(c):
+    """The two-pass pick is ``argmax |c|`` on ±0, ±inf, NaN and ``max c ==
+    -min c``; x = c, z = 0 and nu = 1 keep each score's sign and payload."""
+    c = np.array(c)
+    with np.errstate(all="ignore"):
+        state = SolverState(DenseSymmetric(np.eye(c.size)), c.copy(), np.zeros(c.size),
+                            np.random.default_rng(0))
+    state.nu = 1.0
+    assert pick_gauss_southwell(state) == int(np.argmax(np.abs(c)))
+
+
+@pytest.mark.parametrize("c, want", [([-0.0, 0.0], 0), ([2.0, -2.0], 0), ([-2.0, 2.0], 0),
+                                     ([1.0, -3.0, 3.0], 1), ([np.inf, -np.inf], 0),
+                                     ([-np.inf, 5.0, np.inf], 0), ([1.0, np.nan, -5.0], 1),
+                                     ([-1.0, -4.0, 2.0], 1), ([3.0, 1.0, -3.0], 0)])
+def test_signed_gauss_southwell_edge_scores(c, want):
+    c = np.array(c)
+    with np.errstate(all="ignore"):
+        state = SolverState(DenseSymmetric(np.eye(c.size)), c.copy(), np.zeros(c.size),
+                            np.random.default_rng(0))
+    state.nu = 1.0
+    assert pick_gauss_southwell(state) == want == int(np.argmax(np.abs(c)))
 
 
 def sequential_pick(c, t, draws):
