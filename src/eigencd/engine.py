@@ -77,8 +77,8 @@ is above ``G_k`` (below) and it trails k solved ones.  A key equal to
 inf.  The k best solved coordinates, ordered by ``(gain, index)``, are the
 full sweep's winners, their steps and the tie to the lowest index bit for
 bit.  Where a solved gain is NaN (the full sweep's order then depends on
-numpy's NaN rules) the first stage's candidates go through one
-:func:`cubic_min_roots` call with the full sweep's formulas.
+numpy's NaN rules) the sweep drops the cache and solves all n coordinates
+unscreened, in one :func:`cubic_min_roots` call.
 
 Invalidation.  U_j reads only ``x_j``, ``z_j``, ``A_jj`` and the cache's
 constants.  A step on coordinate j changes ``x_j`` and z on the rows of
@@ -88,8 +88,8 @@ same formula.  A sweep rebuilds every U_j at its own nu when
 ``|nu - nu0| > Delta`` (or is NaN), and every other change drops the cache:
 a fresh state, :meth:`SolverState.revalidate` (which the vector line search
 calls, and which runs every n coordinate applications, so the record of
-touched rows stays below 2n entries), :func:`power_method_step`, and a dense
-column, which touches every row.
+touched rows stays below 2n entries), :func:`power_method_step`, a dense
+column, which touches every row, and a sweep that meets a NaN gain.
 
 The seeds are the last sweep's best ``SCREEN_SEEDS * k`` solved coordinates
 less its k picks, which a step has just moved to (or, in an averaged batch,
@@ -204,16 +204,18 @@ _TWO_PI_3 = 2.0 * np.pi / 3.0
 # refreshes the cached keys on the rows the last step touched (every row
 # after a dense column), solves a few scalar seeds, compares n keys with the
 # bar, recomputes the keys of the candidates and solves about three more one
-# at a time; without cubic_min_roots' fixed cost of about 45 us it wins at
-# every size measured.  Median sweep in us, full -> screened, along GCD-LS-LS
-# runs (to 1e-4, at most 1,500 sweeps) on a 2-CPU x86 VM: Hubbard 100I-H
-# sectors n = 15 72 -> 59, 39 74 -> 63, 104 75 -> 62, 783 110 -> 79, 1,210
-# 131 -> 66, 1,440 138 -> 62, 1,820 156 -> 62, 3,185 228 -> 68, 4,036
-# 260 -> 70, 19,600 959 -> 82; dense synthetic n = 40 72 -> 67, 60 73 -> 68,
-# 100 74 -> 65, 250 80 -> 70, 500 95 -> 68, 1,000 118 -> 76, 2,000
-# 171 -> 89, 3,000 230 -> 110 (on dense input every sweep rebuilds all
-# keys).  Below n = 100 the gain is a few us, and the floor keeps the tiny
-# operators' sweeps on the one vector call.
+# at a time, without cubic_min_roots' fixed cost of about 45 us.  Median
+# sweep in us, full -> screened, along GCD-LS-LS runs (to 1e-4, at most
+# 1,500 sweeps) on a 2-CPU x86 VM: Hubbard 100I-H sectors n = 15 72 -> 59,
+# 39 74 -> 63, 104 75 -> 62, 783 110 -> 79, 1,210 131 -> 66, 1,440
+# 138 -> 62, 1,820 156 -> 62, 3,185 228 -> 68, 4,036 260 -> 70, 19,600
+# 959 -> 82; dense synthetic n = 40 72 -> 67, 60 73 -> 68, 100 74 -> 65,
+# 250 80 -> 70, 500 95 -> 68, 1,000 118 -> 76, 2,000 171 -> 89, 3,000
+# 230 -> 110 (on dense input every sweep rebuilds all keys).  To a tight
+# tolerance small sectors lose, which is the floor's reason: us per
+# iteration from 10 e_HF, min of 5, one BLAS thread, to 1e-8, n = 39
+# (3x2 2+2) 83-87 -> 143-153; above the floor it wins at 1e-4 and 1e-8
+# alike, to 1e-8 n = 104 86 -> 74, 336 100 -> 90, 392 109 -> 75.
 SCREEN_MIN_DIM = 100
 SCREEN_ETA = 2.0 ** -36
 SCREEN_MIN_SCALE = 2.0 ** -300
@@ -479,6 +481,9 @@ class StrategyConfig:
     update  : fixed_grad | coord_ls | vec_ls (ignored for pm)
     t       : sampling power for grad_power (t = 0 is uniform, 0**0 = 1)
     k       : coordinates updated per iteration
+    gamma   : fixed_grad's stepsize, finite and > 0; no other update reads it
+    with_replacement: whether grad_power's k draws may repeat a coordinate;
+              without, they are k distinct coordinates (k <= n)
     averaged: divide each batch step by k; keeps k > 1 batches convergent
               at the price of roughly k times more iterations
 
@@ -725,13 +730,10 @@ class _ScreenCache:
         self.nu0 = state.nu
         self.drift = SCREEN_DRIFT * scale
         self.scale_hi = scale + self.drift  # s+: at least s in the window
-        self.keys = self.upper_keys(state.x, state.z, state.oracle.diagonal)
+        self.keys = _screen_keys(self.nu0, self.drift, self.scale_hi,
+                                 state.x, state.z, state.oracle.diagonal)
         self.dirty = []
         self.seeds = []
-
-    def upper_keys(self, x, z, diag) -> np.ndarray:
-        """U of each coordinate given by ``x, z, diag``."""
-        return _screen_keys(self.nu0, self.drift, self.scale_hi, x, z, diag)
 
 
 def _screen_keys(nu, drift, scale, x, z, diag) -> np.ndarray:
@@ -793,7 +795,8 @@ def _screen(state: SolverState, k: int) -> tuple[np.ndarray, dict] | None:
     elif cache.dirty:
         rows = np.concatenate(cache.dirty)
         cache.dirty.clear()
-        cache.keys[rows] = cache.upper_keys(x[rows], z[rows], diag[rows])
+        cache.keys[rows] = _screen_keys(cache.nu0, cache.drift, cache.scale_hi,
+                                        x[rows], z[rows], diag[rows])
     keys = cache.keys
     if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
         seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
@@ -861,28 +864,21 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
     column accesses.  Screened-out coordinates are provably not among the
     winners, so the result is the full sweep's bit for bit.
     """
-    x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
-    rows = None
-    if k < x.size and x.size >= SCREEN_MIN_DIM:
+    if k < state.dim and state.dim >= SCREEN_MIN_DIM:
         screened = _screen(state, k)
         if screened is not None:
             picked = _best_first(state, k, *screened)
             if picked is not None:
                 return picked
-            rows = screened[0]
-            x, z, diag = x[rows], z[rows], diag[rows]
-    b, c, d = coord_coeffs(nu, x, z, diag)
+            state._screen_cache = None  # a NaN gain: numpy's order over all n decides
+    b, c, d = coord_coeffs(state.nu, state.x, state.z, state.oracle.diagonal)
     alphas = cubic_min_roots(b, c, d)
     gains = _quartic_gain(alphas, b, c, d)
     if k == 1:
         order = np.array([np.argmin(gains)])
     else:
         order = np.lexsort((np.arange(gains.size), gains))[:k]
-    if rows is None:
-        return order, alphas[order]
-    best = np.argpartition(gains, min(SCREEN_SEEDS * k, gains.size) - 1)[:SCREEN_SEEDS * k]
-    state._screen_cache.seeds = rows[np.setdiff1d(best, order)].tolist()  # the picks step off
-    return rows[order], alphas[order]
+    return order, alphas[order]
 
 
 def _vec_ls_direction(state: SolverState, omega: np.ndarray):
