@@ -214,7 +214,8 @@ def _flag(key: str) -> str:
 def _checked(section: dict, keys, where: str, flags: bool) -> dict:
     """Each key's value in ``section``, or its default when absent or null,
     refused unless the table lists the key, JSON gave the value the key's
-    type (a float also takes an integer) and it passes the key's rule."""
+    type (a float also takes an integer) and it passes the key's rule, a
+    float under a rule being finite too."""
     unknown = sorted(section.keys() - {key for key, *_ in keys})
     if unknown:
         raise UsageError(f"{where}unknown keys {unknown}")
@@ -231,6 +232,9 @@ def _checked(section: dict, keys, where: str, flags: bool) -> dict:
             raise UsageError(f"{where}{name} must be {_KIND_NAMES[kind]}, got {value!r}")
         elif rule and not _RULES[rule](value):
             raise UsageError(f"{where}{name} must be {rule}, got {value}")
+        # tol = inf passes "> 0" and would stop every run at once
+        elif rule and kind is float and not math.isfinite(value):
+            raise UsageError(f"{where}{name} must be a finite number, got {value}")
         values[key] = value
     return values
 

@@ -972,8 +972,8 @@ def power_method_step(state: SolverState) -> None:
 
     ``w = A u`` comes from one :meth:`ColumnOracle.sweep`: on an assembled
     operator one bulk product with the n accesses charged in one counter
-    move, otherwise one ``column()`` call and one access per column, with
-    the arithmetic in bulk and w the column-by-column loop's bit for bit.
+    move, otherwise the column-by-column loop, one ``column()`` call and
+    one access per column.
 
     The stored iterate is the Rayleigh-scaled current direction, so the
     cached ``nu`` doubles as the eigenvalue estimate and the objective gap

@@ -431,11 +431,13 @@ class HubbardOracle(ColumnOracle):
     first column or product assembles it, while :meth:`nnz_per_column`
     counts entries without it.  Assembly changes cost only, never
     accounting: every ``column`` call counts, and a full sweep counts n.
-    Products (a sweep's and :meth:`matvec`) run two halves of the CSR view,
-    the second on a helper thread, and the uncounted passes
+    A sweep is :meth:`matvec` (:attr:`bulk_product`), which runs two halves
+    of the CSR view, the second on a helper thread, and the uncounted passes
     (:meth:`diagonal_positions`, :meth:`column_sq_norms`) read the CSC
     arrays in blocks without a ``column`` call.
     """
+
+    bulk_product = True
 
     def __init__(self, spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP):
         self.spec = spec
@@ -481,25 +483,22 @@ class HubbardOracle(ColumnOracle):
         self._indptr = self._csc.indptr.tolist()  # Python ints slice faster
         self._halves = _row_halves(self._csc)
 
-    def _product(self, u: np.ndarray) -> np.ndarray:
-        """``H @ u`` through the CSR view of the CSC arrays, in the two row
-        halves :meth:`prepare` made; the second half runs on a helper thread.
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Uncounted ``H @ x`` through the CSR view of the CSC arrays, in the
+        two row halves :meth:`prepare` made; the second half runs on a
+        helper thread.
 
         H is exactly symmetric, so row i of the view is column i: each row
-        sums its terms in the column order of ``_csc @ u``, bit for bit, but
-        the product gathers from u where the CSC one scatters into the result.
+        sums its terms in the column order of ``_csc @ x``, bit for bit, but
+        the product gathers from x where the CSC one scatters into the result.
         scipy's product releases the GIL, so on two CPUs the halves overlap;
-        on one they run one after the other.  A full sweep adds this product
-        in place of its n ``column`` calls, bit for bit their sum.
+        on one they run one after the other.  A full sweep returns this
+        product in place of its n ``column`` calls, bit for bit their sum.
         """
         self.prepare()
         top, bottom = self._halves
-        lower = _helper().submit(bottom.dot, u)
-        return np.concatenate((top @ u, lower.result()))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Uncounted ``H @ x`` for set-up work: the sweep's product."""
-        return self._product(x)
+        lower = _helper().submit(bottom.dot, x)
+        return np.concatenate((top @ x, lower.result()))
 
     def _blocks(self):
         """``(lo, hi, entries, cols)`` for each block of

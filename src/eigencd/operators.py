@@ -8,11 +8,14 @@ pollutes a solver budget.  The norm surveys read every column's squared
 norm from one uncounted pass, :meth:`ColumnOracle.column_sq_norms`: column
 by column by default, in bulk where an oracle holds its columns in bulk.
 The diagonal is the one other fact a solver reads; each oracle states it
-once, as a vector, and reading it is free.  A full sweep,
+once, as a vector, and reading it is free.  A column meets a vector in one
+way, :meth:`ColumnOracle.add_column`, and each oracle has one uncounted
+product, :meth:`ColumnOracle.matvec`.  A full sweep,
 :meth:`ColumnOracle.sweep`, adds every column once, in order: an oracle
-with a bulk product (an assembled Hubbard sector, and a shift of one)
-charges its n accesses in one counter move and reads no column; any other
-reads them one ``column()`` call each.
+whose class states :attr:`ColumnOracle.bulk_product` (an assembled Hubbard
+sector, and a shift of one) charges its n accesses in one counter move and
+returns its product, reading no column; any other reads them one
+``column()`` call each.
 """
 
 from __future__ import annotations
@@ -25,17 +28,6 @@ from functools import cached_property
 import numpy as np
 
 Column = tuple["np.ndarray | None", np.ndarray]
-
-# add_columns scatters the sparse columns it reads a chunk at a time; a chunk
-# closes once it holds ADD_CHUNK_NNZ nonzeros (about 160 columns of Hubbard
-# 4x4 3+3), so the rows, values, products and index copy it builds stay near
-# 0.5 MB.  The size was chosen on the column-by-column power step over that
-# sector as 100I - H, which now runs as one sweep product instead; its median
-# on a 2-CPU x86 VM, by chunk: 2^10 75 ms, 2^12 62, 2^14 60, 2^16 65, 2^18 88,
-# of which its 19,600 column() calls took 36 ms.  The chunks still carry
-# init_state, the sampled vector line search and the sweeps of oracles
-# without a bulk product.
-ADD_CHUNK_NNZ = 2 ** 14
 
 # Column values are scaled as ``vals * scalar``: the same product as
 # ``scalar * vals``, but a Python float on the left takes numpy's slower
@@ -50,12 +42,16 @@ class ColumnOracle(ABC):
     row indices sorted ascending.  Each ``column`` call increments the
     access counter by exactly one; diagonal reads are free.  A full sweep
     (:meth:`sweep`) charges n: through n ``column`` calls, or, where the
-    oracle states a bulk product in :meth:`_product`, in one counter move
-    with no ``column`` call.  A subclass states its diagonal once, in
-    :meth:`_diagonal`.  Returned arrays may be views and must not be
-    modified by callers; solvers add columns into vectors through
-    :meth:`add_column`, :meth:`add_columns` and :meth:`sweep` only.
+    class sets :attr:`bulk_product`, in one counter move with no ``column``
+    call.  A subclass states its diagonal once, in :meth:`_diagonal`, and
+    its product once, in :meth:`matvec`.  Returned arrays may be views and
+    must not be modified by callers; solvers add columns into vectors
+    through :meth:`add_column`, :meth:`add_columns` and :meth:`sweep` only.
     """
+
+    # Whether sweep() is matvec() charged n in one counter move, not n
+    # column() calls: a fact of each class, never an option.
+    bulk_product = False
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -94,7 +90,7 @@ class ColumnOracle(ABC):
         return self._column(j)
 
     def add_column(self, j: int, coeff: float, out: np.ndarray) -> np.ndarray | None:
-        """``out += coeff * A[:, j]``: the one-index case of :meth:`add_columns`.
+        """``out += coeff * A[:, j]``, the one way a column is added into a vector.
 
         Makes exactly one :meth:`column` call, so it charges one access even
         when ``coeff == 0`` (the addition is then skipped).  Returns the rows
@@ -110,63 +106,29 @@ class ColumnOracle(ABC):
 
     def add_columns(self, idx, coeffs, out: np.ndarray) -> None:
         """``out += A[:, idx] @ coeffs``: the loop of :meth:`add_column` over
-        ``zip(idx, coeffs)``, bit for bit, with the arithmetic in bulk.
-
-        Makes one :meth:`column` call per index, so each index charges one
-        access, a zero coefficient too (its column then adds nothing).  The
-        sparse columns are gathered in chunks of about
-        :data:`ADD_CHUNK_NNZ` nonzeros and each chunk is scattered by one
-        ``np.add.at``, which adds in index order, so every row sums its terms
-        in the loop's order.  A dense column is added whole, after the chunk
-        read before it.
-        """
-        chunk: list[tuple[np.ndarray, np.ndarray, float]] = []
-        held = 0
+        ``zip(idx, coeffs)``, so each index charges one access, a zero
+        coefficient too (its column then adds nothing)."""
         for j, coeff in zip(np.asarray(idx).tolist(),
                             np.asarray(coeffs, dtype=float).tolist(), strict=True):
-            rows, vals = self.column(j)
-            if coeff == 0.0:
-                continue
-            if rows is None:
-                if chunk:
-                    _scatter(chunk, out)
-                    held = 0
-                out += vals * coeff
-                continue
-            chunk.append((rows, vals, coeff))
-            held += rows.size
-            if held >= ADD_CHUNK_NNZ:
-                _scatter(chunk, out)
-                held = 0
-        _scatter(chunk, out)
+            self.add_column(j, coeff, out)
 
     def sweep(self, coeffs: np.ndarray) -> np.ndarray:
         """``A @ coeffs``, every column added once, in order: n accesses.
 
-        Where :meth:`_product` gives a bulk product, the n accesses are
-        charged in one counter move (none while :meth:`counting_paused` is
-        active) and no column is read.  Otherwise it is :meth:`add_columns`
-        over every index into zeros: one :meth:`column` call per column.
+        Where the class sets :attr:`bulk_product`, it is :meth:`matvec`, its
+        n accesses charged in one counter move (none while
+        :meth:`counting_paused` is active), and no column is read.
+        Otherwise it is :meth:`add_columns` over every index into zeros: one
+        :meth:`column` call per column.
         """
-        product = self._product(coeffs)
-        if product is None:
+        if not self.bulk_product:
             out = np.zeros(self._dim)
             self.add_columns(range(self._dim), coeffs, out)
             return out
+        product = self.matvec(coeffs)
         if self._counting:
             self._accesses += self._dim
         return product
-
-    def _product(self, u: np.ndarray) -> np.ndarray | None:
-        """``A @ u`` in bulk, no accounting, for :meth:`sweep`; None where
-        the oracle has none, and a sweep reads its columns one by one.
-
-        A dense operand keeps the column loop although ``a @ u`` would do:
-        perfbench counts every ``column()`` call as charged or free, so its
-        power steps must stay ``column()`` calls until the oracle counts its
-        free evaluations itself (ROADMAP item 1(a)).
-        """
-        return None
 
     @abstractmethod
     def _column(self, j: int) -> Column:
@@ -223,28 +185,21 @@ class ColumnOracle(ABC):
 
     @abstractmethod
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Uncounted ``A @ x`` for setup/reference work only.
+        """Uncounted ``A @ x``, the oracle's one product.
 
-        Solvers must not call this; they pay per column, or n for a full
-        sweep through :meth:`sweep`.
+        Setup and reference work call it directly; a solver reaches it only
+        through :meth:`sweep`, which charges n where :attr:`bulk_product`
+        holds, and otherwise pays per column.
         """
 
 
-def _scatter(chunk: list[tuple[np.ndarray, np.ndarray, float]], out: np.ndarray) -> None:
-    """Add the chunk's ``coeff * vals`` at ``rows`` in order, then empty it."""
-    if not chunk:
-        return
-    rows, vals, coeffs = zip(*chunk)
-    chunk.clear()
-    sizes = [r.size for r in rows]
-    np.add.at(out, np.concatenate(rows), np.repeat(coeffs, sizes) * np.concatenate(vals))
-
-
 class DenseSymmetric(ColumnOracle):
-    """In-memory dense symmetric matrix; mirrored on construction.
+    """In-memory dense symmetric matrix; mirrored on construction."""
 
-    It states no bulk product yet, so its sweeps read every column (see
-    :meth:`ColumnOracle._product`)."""
+    # ``a @ u`` would do as a sweep, but perfbench counts every column() call
+    # as charged or free, so a dense power step must stay column() calls
+    # until the oracle counts its free evaluations itself (ROADMAP item 1(a)).
+    bulk_product = False
 
     def __init__(self, entries: np.ndarray):
         a = np.asarray(entries, dtype=float)
@@ -349,6 +304,22 @@ class ShiftScaled(ColumnOracle):
     def base(self) -> ColumnOracle:
         return self._base
 
+    @property
+    def scale(self) -> float:
+        """``a``, the factor on the base."""
+        return self._a
+
+    @property
+    def shift(self) -> float:
+        """``b``, the multiple of the identity added."""
+        return self._b
+
+    @property
+    def bulk_product(self) -> bool:
+        """The base's: ``a * base.matvec(u) + b * u`` is a bulk product
+        exactly where the base's is."""
+        return self._base.bulk_product
+
     def _column(self, j: int) -> Column:
         if self._diag_pos is None:
             self.prepare()
@@ -378,11 +349,6 @@ class ShiftScaled(ColumnOracle):
         if self._diag_pos is None:
             self._diag_list = self.diagonal.tolist()
             self._diag_pos = self._base.diagonal_positions().tolist()
-
-    def _product(self, u: np.ndarray) -> np.ndarray | None:
-        """``a * base_product(u) + b * u`` where the base has a bulk product."""
-        base = self._base._product(u)
-        return None if base is None else self._a * base + self._b * u
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x

@@ -92,17 +92,16 @@ def add_column(oracle, j, coeff, w):
 def column_sum(oracle, idx, coeffs):
     """``sum coeffs_i A[:, idx_i]`` over distinct ascending ``idx``, one
     ``column()`` call (one access) and one fancy-index add per column.  Over
-    every column of a shift ``a M + b I`` that :meth:`ColumnOracle.sweep`
-    takes in bulk (where ``_product`` is not None, the sweep's own test), it
-    is ``a * (M's sum) + b * coeffs``, the bulk product's order, charged n
-    accesses as the sweep charges them."""
+    every column of a shift ``a M + b I`` whose sweep is a bulk product, it
+    is ``a * (M's sum) + b * coeffs``, the bulk product's order, with the n
+    accesses charged by n ``column()`` reads of the shift."""
     n = oracle.dim
-    if idx.size == n and isinstance(oracle, ShiftScaled) and oracle._product(coeffs) is not None:
+    if idx.size == n and isinstance(oracle, ShiftScaled) and oracle.bulk_product:
         with oracle.base.counting_paused():
             w = column_sum(oracle.base, idx, coeffs)
-        if oracle._counting:
-            oracle._accesses += n
-        return oracle._a * w + oracle._b * coeffs
+        for j in range(n):
+            oracle.column(j)
+        return oracle.scale * w + oracle.shift * coeffs
     w = np.zeros(n)
     for j, coeff in zip(idx.tolist(), coeffs.tolist()):
         add_column(oracle, j, coeff, w)

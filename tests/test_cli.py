@@ -147,6 +147,7 @@ class TestCommands:
     @pytest.mark.parametrize("key,value,message", [
         ("tol", 0, "tol must be > 0, got 0.0"),
         ("tol", -1e-3, "tol must be > 0, got -0.001"),
+        ("tol", float("inf"), "tol must be a finite number, got inf"),
         ("max_col_access", -5, "max_col_access must be >= 0, got -5"),
         ("trace_stride", -1, "trace_stride must be >= 0, got -1"),
     ])
@@ -161,11 +162,12 @@ class TestCommands:
         ("--seeds", "seeds", 0, "must be >= 1, got 0"),
         ("--tol", "tol", 0, "must be > 0, got 0.0"),
         ("--tol", "tol", -0.5, "must be > 0, got -0.5"),
+        ("--tol", "tol", float("inf"), "must be a finite number, got inf"),
         ("--max-col-access", "max_col_access", -5, "must be >= 0, got -5"),
         ("--trace-stride", "trace_stride", -1, "must be >= 0, got -1"),
         ("--scale", "scale", float("inf"), "must be a finite number, got inf"),
         ("--shift", "shift", float("nan"), "must be a finite number, got nan"),
-    ], ids=["seeds-0", "tol-0", "tol-negative", "max_col_access-negative",
+    ], ids=["seeds-0", "tol-0", "tol-negative", "tol-inf", "max_col_access-negative",
             "trace_stride-negative", "scale-inf", "shift-nan"])
     def test_run_option_out_of_range_refused(self, flag, key, value, message, tmp_path,
                                              monkeypatch, capsys):

@@ -13,15 +13,15 @@ class NonzerosOnly(DenseSymmetric):
     """Dense storage served as sparse columns of the nonzero entries only."""
 
     def _column(self, j):
-        rows = np.flatnonzero(self._a[:, j])
-        return rows, self._a[rows, j]
+        rows = np.flatnonzero(self.array[:, j])
+        return rows, self.array[rows, j]
 
 
 class MixedColumns(NonzerosOnly):
     """Even columns served dense, odd ones as their nonzero entries."""
 
     def _column(self, j):
-        return (None, self._a[j]) if j % 2 == 0 else super()._column(j)
+        return (None, self.array[j]) if j % 2 == 0 else super()._column(j)
 
 
 def dense_from_columns(oracle):
@@ -252,20 +252,14 @@ class TestAddColumnContract:
 
     @pytest.mark.parametrize("chunk", [7, None])
     def test_add_columns_is_the_add_column_loop(self, contract_oracle, monkeypatch, chunk):
-        # repeated indices, zero coefficients of both signs, and (at the
-        # default chunk, on sparse columns) more nonzeros than one chunk holds
-        if chunk is not None:
-            monkeypatch.setattr(operators, "ADD_CHUNK_NNZ", chunk)
+        # repeated indices and zero coefficients of both signs, given in one
+        # call (chunk None) or in consecutive calls of `chunk` indices each
         n = contract_oracle.dim
         rng = np.random.default_rng(11)
         idx = rng.integers(0, n, size=4000)
         coeffs = rng.standard_normal(idx.size)
         coeffs[rng.random(idx.size) < 0.2] = 0.0
         coeffs[::97] = -0.0
-        with contract_oracle.counting_paused():
-            rows = [contract_oracle.column(j)[0] for j in idx.tolist()]
-        if chunk is None and all(r is not None for r in rows):
-            assert sum(r.size for r in rows) > 2 * operators.ADD_CHUNK_NNZ
         start = rng.standard_normal(n)
         expect = start.copy()
         for j, c in zip(idx.tolist(), coeffs.tolist()):
@@ -277,7 +271,9 @@ class TestAddColumnContract:
         monkeypatch.setattr(contract_oracle, "column",
                             lambda j: reads.append(j) or column(j))
         before = contract_oracle.access_count
-        contract_oracle.add_columns(idx, coeffs, got)
+        step = idx.size if chunk is None else chunk
+        for at in range(0, idx.size, step):
+            contract_oracle.add_columns(idx[at:at + step], coeffs[at:at + step], got)
         assert got.tobytes() == expect.tobytes()
         assert reads == idx.tolist()
         assert contract_oracle.access_count - before == idx.size
