@@ -10,7 +10,8 @@ accesses.
 A run stops when ``eps_obj < tol``, the access budget is exhausted, or the
 divergence/stall detector trips.  ``eps_obj`` is available every iteration
 in O(1) through the identity ``f - f* = lambda_1^2 - 2 s + nu^2`` over the
-engine's maintained scalars.
+engine's maintained scalars; the stop rule and the trace read that one gap,
+never the difference of ``f`` and ``f*``, whose ``||A||_F^2`` terms cancel.
 """
 
 from __future__ import annotations
@@ -149,7 +150,11 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
             f"the operator has dimension {n}: the reference needs a second eigenvalue, and a "
             "1x1 matrix is rank one, so the relative gap eps_obj = sqrt((f - f*) / f*) is "
             "undefined for it (f* = 0)")
-    frob_sq = frobenius_norm_sq(oracle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frob_sq = frobenius_norm_sq(oracle)
+    if not math.isfinite(frob_sq):
+        raise ValueError(f"||A||_F^2 = {frob_sq} is not a finite number: the objective "
+                         "f = ||A - x x^T||_F^2 overflows for this operator")
     if n <= DENSE_REFERENCE_CUTOFF:
         dense = np.zeros((n, n))
         with oracle.counting_paused():
@@ -176,11 +181,13 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
                              source=source)
 
 
-def eps_obj(f_value: float, fstar: float) -> float:
-    """Square root of the relative objective gap."""
+def eps_obj(*, gap: float, fstar: float) -> float:
+    """Square root of the relative objective gap ``sqrt((f - f*) / f*)``,
+    from the gap ``f - f*`` itself, clamped at 0.  Keyword-only, so a call
+    that passes ``f`` in place of the gap fails."""
     if fstar <= 0:
         raise ValueError(f"fstar must be positive, got {fstar}")
-    return math.sqrt(max(f_value - fstar, 0.0) / fstar)
+    return math.sqrt(max(gap, 0.0) / fstar)
 
 
 def projected_energy(x: np.ndarray, z: np.ndarray, x_ref: np.ndarray) -> float:
@@ -279,7 +286,6 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         return frob_sq - 2.0 * state.s + state.nu * state.nu
 
     def record():
-        f_val = objective()
         if sparse_ref is not None:
             energy = (state.z[sparse_ref] / state.x[sparse_ref]
                       if state.x[sparse_ref] != 0.0 else math.nan)
@@ -289,8 +295,8 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         trace.append(TraceRecord(
             iteration=state.ell,
             col_access=oracle.access_count - start_count,
-            f_value=float(f_val),
-            eps_obj=eps_obj(f_val, fstar),
+            f_value=float(objective()),
+            eps_obj=eps_obj(gap=gap(), fstar=fstar),
             eps_energy=float(e_energy),
             eps_tan=eps_tan(state.x, v1),
         ))
@@ -302,7 +308,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     status = "budget"
     while True:
         g = gap()
-        if math.sqrt(max(g, 0.0) / fstar) < tol:
+        if eps_obj(gap=g, fstar=fstar) < tol:
             status = "converged"
             break
         accesses = oracle.access_count - start_count
@@ -329,7 +335,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
             status = "diverged"
             break
         except StationaryIterate:
-            status = "converged" if math.sqrt(max(gap(), 0.0) / fstar) < tol else "stalled"
+            status = "converged" if eps_obj(gap=gap(), fstar=fstar) < tol else "stalled"
             break
         if trace_stride and state.ell % trace_stride == 0:
             record()

@@ -13,6 +13,13 @@ HF basis vector.  The sector is assembled once into CSC sparse form, and
 every column the oracle serves is a slice of it, so the sector's nonzeros
 must fit in memory.
 
+Set-up takes three steps.  First the sector is counted: each spin's masks
+are tallied by total momentum, orbital by orbital, so its dimension is
+checked against the cap before any mask is listed.  Then it is laid out:
+each spin's masks are listed once, ascending, and each up mask is followed
+by the down masks of the complementary momentum, ascending, which is the
+order (up, down).  Last, one assembly pass writes the CSC arrays.
+
 An electron's move depends only on its own spin's mask, so the moves are
 tabulated once per distinct up mask and once per distinct down mask of the
 basis (560 of each at 4x4 3+3, against 19,600 columns): the new mask, the
@@ -21,9 +28,9 @@ Jordan-Wigner parity and whether the destination is empty, for every
 of the two spins' allowed-move counts, summed over the transfer.
 
 Rows are found by arithmetic, not by search, as in the string addressing of
-determinant FCI (Knowles & Handy, Chem. Phys. Lett. 1984).  The sector is a
-union of whole products: every up mask of one momentum pairs with every
-down mask of the complementary momentum, sorted by (up, down).  So
+determinant FCI (Knowles & Handy, Chem. Phys. Lett. 1984).  Laid out so,
+the sector is a union of whole products: every up mask of one momentum
+pairs with every down mask of the complementary momentum.  So
 determinant (u, d) is row ``start[u] + rank[d]``, and
 :attr:`MomentumBasis.addressing` turns each tabulated move's new mask into
 its part of that sum once per distinct mask, after checking that structure.
@@ -36,9 +43,9 @@ arrays; :func:`hamiltonian_column` runs it on one column, independently of
 any assembled matrix.  Products (the uncounted set-up product, and a full
 sweep's, charged n accesses at once) run through the CSR view of the same
 arrays, split once into two halves of rows with about equal entries, the
-second half on a helper thread; the diagonal positions a shift wrapper
-needs and the squared column norms of the norm surveys come from passes
-over the CSC a block of columns at a time.
+second half on a helper thread.  The diagonal positions a shift wrapper
+needs and the squared column norms of the norm surveys are read from each
+block as the assembly pass writes it.
 
 Fermion convention: modes are ordered as all up orbitals (ascending index)
 followed by all down orbitals (ascending index).  A creation/annihilation
@@ -64,11 +71,10 @@ from .operators import Column, ColumnOracle
 DEFAULT_SECTOR_CAP = 5_000_000
 MAX_ORBITALS = 31  # two masks of this many bits pack into one int64 key
 _EPS_QUANTUM = 1e-9
-# Columns per kernel call in prepare(), and per block of the diagonal
-# position pass: large enough to amortise numpy call overhead, small enough
-# that a block's scratch arrays stay near 1 MB.  prepare()'s kernel loop on
-# 4x4 3+3 / 4+3, minimum of 3, 2-CPU x86 VM, by block: 128 columns 43 /
-# 176 ms, 256 38 / 158, 512 37 / 199, 1024 52 / 155.
+# Columns per kernel call in prepare(): large enough to amortise numpy call
+# overhead, small enough that a block's scratch arrays stay near 1 MB.
+# prepare()'s kernel loop on 4x4 3+3 / 4+3, minimum of 3, 2-CPU x86 VM, by
+# block: 128 columns 43 / 176 ms, 256 38 / 158, 512 37 / 199, 1024 52 / 155.
 _BLOCK_COLUMNS = 256
 
 
@@ -107,22 +113,27 @@ class LatticeSpec:
     def n_orb(self) -> int:
         return self.l1 * self.l2
 
-    def orbital_vector(self, p: int) -> tuple[int, int]:
-        return p % self.l1, p // self.l1
+    @cached_property
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each orbital's lattice coordinates ``(r1, r2)``, orbital ``r1 + l1 * r2``."""
+        r2, r1 = np.divmod(np.arange(self.n_orb), self.l1)
+        return r1, r2
+
+    @cached_property
+    def _wave_numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each orbital's ``k = 2*pi*r/L``, component-wise, in ``[0, 2*pi)``."""
+        r1, r2 = self._coordinates
+        return 2 * np.pi * r1 / self.l1, 2 * np.pi * r2 / self.l2
 
     @cached_property
     def dispersions(self) -> np.ndarray:
-        out = np.empty(self.n_orb)
-        for p in range(self.n_orb):
-            r1, r2 = self.orbital_vector(p)
-            out[p] = -2.0 * (np.cos(2 * np.pi * r1 / self.l1)
-                             + np.cos(2 * np.pi * r2 / self.l2))
-        return out
+        k1, k2 = self._wave_numbers
+        return -2.0 * (np.cos(k1) + np.cos(k2))
 
     @cached_property
     def _transfer_tables(self) -> tuple[np.ndarray, np.ndarray]:
         # sub[p, q] = p - q and add[p, q] = p + q, component-wise mod lattice
-        r1, r2 = np.divmod(np.arange(self.n_orb), self.l1)[::-1]
+        r1, r2 = self._coordinates
         sub = (r1[:, None] - r1) % self.l1 + self.l1 * ((r2[:, None] - r2) % self.l2)
         add = (r1[:, None] + r1) % self.l1 + self.l1 * ((r2[:, None] + r2) % self.l2)
         return sub, add
@@ -136,38 +147,18 @@ class LatticeSpec:
         with smaller stored wave numbers ``k = 2*pi*r/L in [0, 2*pi)`` come
         first; this pins the sector of the reference calculations.
         """
-        def key(p: int):
-            r1, r2 = self.orbital_vector(p)
-            k1 = 2 * np.pi * r1 / self.l1
-            k2 = 2 * np.pi * r2 / self.l2
-            return (round(self.dispersions[p] / _EPS_QUANTUM) * _EPS_QUANTUM,
-                    round((k1 * k1 + k2 * k2) / _EPS_QUANTUM) * _EPS_QUANTUM,
-                    p)
-
-        return sorted(range(self.n_orb), key=key)
+        k1, k2 = self._wave_numbers
+        quantized = [np.rint(key / _EPS_QUANTUM) for key in (k1 * k1 + k2 * k2, self.dispersions)]
+        return np.lexsort(quantized).tolist()
 
     def momentum_of(self, mask: int) -> tuple[int, int]:
-        m1 = m2 = 0
-        for p in _occupied(mask, self.n_orb):
-            r1, r2 = self.orbital_vector(p)
-            m1 += r1
-            m2 += r2
-        return m1 % self.l1, m2 % self.l2
-
-
-def _occupied(mask: int, n_orb: int) -> list[int]:
-    return [p for p in range(n_orb) if mask >> p & 1]
+        return tuple(int(m[0]) for m in _momenta(self, np.array([mask])))
 
 
 def hf_determinant(spec: LatticeSpec) -> Determinant:
     """Lowest-dispersion filling per spin, deterministic under degeneracy."""
-    up = 0
-    for p in spec.fill_order[:spec.n_up]:
-        up |= 1 << p
-    down = 0
-    for p in spec.fill_order[:spec.n_down]:
-        down |= 1 << p
-    return Determinant(up, down)
+    return Determinant(*(sum(1 << p for p in spec.fill_order[:count])
+                         for count in (spec.n_up, spec.n_down)))
 
 
 class SectorTooLarge(RuntimeError):
@@ -248,11 +239,7 @@ class MomentumBasis:
         start = np.searchsorted(up.index, np.arange(up.masks.size))
         rank = np.empty(dn.masks.size, dtype=np.intp)
         rank[dn.index] = np.arange(self.dim) - start[up.index]
-        u1, u2 = _momenta(spec, up.masks)
-        d1, d2 = _momenta(spec, dn.masks)
-        t1, t2 = self.sector_momentum
-        partner = (t1 - u1) % spec.l1 + spec.l1 * ((t2 - u2) % spec.l2)
-        code = d1 + spec.l1 * d2
+        partner, code = _pairing(spec, self.sector_momentum, up.masks, dn.masks)
         whole = (np.array_equal(code[dn.index], partner[up.index])
                  and np.array_equal(np.bincount(up.index),
                                     np.bincount(code, minlength=spec.n_orb)[partner]))
@@ -270,56 +257,66 @@ class MomentumBasis:
 
 
 def _momenta(spec: LatticeSpec, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each mask's momentum, as :meth:`LatticeSpec.momentum_of` gives it."""
-    r2, r1 = np.divmod(np.arange(spec.n_orb), spec.l1)
+    """Each mask's momentum ``(m1, m2)``: the sum of its occupied orbitals' coordinates."""
+    r1, r2 = spec._coordinates
     bits = (masks[:, None] >> np.arange(spec.n_orb)) & 1
     return bits @ r1 % spec.l1, bits @ r2 % spec.l2
 
 
-def _spin_masks_by_momentum(spec: LatticeSpec, count: int) -> dict[tuple[int, int], list[int]]:
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for combo in itertools.combinations(range(spec.n_orb), count):
-        mask = sum(1 << p for p in combo)
-        buckets.setdefault(spec.momentum_of(mask), []).append(mask)
-    return buckets
+def _pairing(spec: LatticeSpec, momentum: tuple[int, int], up: np.ndarray,
+             down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The momentum code ``m1 + l1 * m2`` each up mask's partners need to
+    make up ``momentum``, and each down mask's own code."""
+    (u1, u2), (d1, d2) = _momenta(spec, up), _momenta(spec, down)
+    t1, t2 = momentum
+    return (t1 - u1) % spec.l1 + spec.l1 * ((t2 - u2) % spec.l2), d1 + spec.l1 * d2
 
 
-def _sector_blocks(spec: LatticeSpec):
-    """The HF sector's momentum and its (up masks, down masks) blocks.
+def _momentum_tally(spec: LatticeSpec, count: int) -> np.ndarray:
+    """``tally[k, m1, m2]``, the number of masks of k electrons with momentum
+    (m1, m2), for k up to ``count``; counted orbital by orbital, each one
+    either left empty or adding its coordinates to the momentum."""
+    tally = np.zeros((count + 1, spec.l1, spec.l2), dtype=np.int64)
+    tally[0, 0, 0] = 1
+    for shift in zip(*spec._coordinates):
+        tally[1:] += np.roll(tally[:-1], shift, axis=(1, 2))
+    return tally
 
-    Every up mask of one momentum pairs with every down mask of the
-    complementary momentum, so the blocks' products tile the sector.
-    """
-    hf = hf_determinant(spec)
-    mu = spec.momentum_of(hf.up)
-    md = spec.momentum_of(hf.down)
-    tgt1, tgt2 = (mu[0] + md[0]) % spec.l1, (mu[1] + md[1]) % spec.l2
-    up_buckets = _spin_masks_by_momentum(spec, spec.n_up)
-    if spec.n_down == spec.n_up:
-        down_buckets = up_buckets
-    else:
-        down_buckets = _spin_masks_by_momentum(spec, spec.n_down)
-    blocks = []
-    for (m1, m2), ups in up_buckets.items():
-        downs = down_buckets.get(((tgt1 - m1) % spec.l1, (tgt2 - m2) % spec.l2))
-        if downs:
-            blocks.append((ups, downs))
-    return (tgt1, tgt2), blocks
+
+def _spin_masks(spec: LatticeSpec, count: int) -> np.ndarray:
+    """Every mask of ``count`` electrons, ascending."""
+    return np.sort(np.fromiter((sum(1 << p for p in combo) for combo in
+                                itertools.combinations(range(spec.n_orb), count)), np.int64))
 
 
 def enumerate_sector(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> MomentumBasis:
-    """Enumerate the total-momentum block of the HF determinant."""
-    momentum, blocks = _sector_blocks(spec)
-    dim = sum(len(ups) * len(downs) for ups, downs in blocks)
+    """The total-momentum block of the HF determinant, counted before it is listed.
+
+    The dimension, ``sum_m N_up(m) N_down(target - m)`` over each spin's
+    tally of masks by momentum, is checked against ``max_dim`` first.  Then
+    each up mask, ascending, is followed by the down masks of its partner
+    momentum, ascending: the sector sorted by (up, down).
+    """
+    l1, l2 = spec.l1, spec.l2
+    m1, m2 = _momenta(spec, np.array(hf_determinant(spec)))
+    t1, t2 = int(m1.sum()) % l1, int(m2.sum()) % l2
+    tally = _momentum_tally(spec, max(spec.n_up, spec.n_down))
+    complement = np.ix_((t1 - np.arange(l1)) % l1, (t2 - np.arange(l2)) % l2)
+    dim = int(np.sum(tally[spec.n_up] * tally[spec.n_down][complement]))
     if dim > max_dim:
         raise SectorTooLarge(
             f"sector dimension {dim} exceeds cap {max_dim}; raise max_dim to proceed")
-    n_orb = spec.n_orb
-    keys = np.concatenate([((np.array(ups, dtype=np.int64)[:, None] << n_orb)
-                            | np.array(downs, dtype=np.int64)).ravel()
-                           for ups, downs in blocks])
-    keys.sort()
-    return MomentumBasis(spec, momentum, keys >> n_orb, keys & ((1 << n_orb) - 1))
+    up = _spin_masks(spec, spec.n_up)
+    down = up if spec.n_down == spec.n_up else _spin_masks(spec, spec.n_down)
+    partner, code = _pairing(spec, (t1, t2), up, down)
+    # in the down masks grouped by code, each group ascending, up mask i's
+    # rows read its partner code's group: row r takes place r + skip[i]
+    by_code = np.argsort(code, kind="stable")
+    sizes = np.bincount(code, minlength=spec.n_orb)
+    reps = sizes[partner]
+    skip = (np.cumsum(sizes) - sizes)[partner] - (np.cumsum(reps) - reps)
+    down_at = by_code[np.repeat(skip, reps) + np.arange(dim)]
+    return MomentumBasis(spec, (t1, t2), np.repeat(up, reps), down[down_at])
 
 
 class SpinMoves(NamedTuple):
@@ -432,9 +429,9 @@ class HubbardOracle(ColumnOracle):
     counts entries without it.  Assembly changes cost only, never
     accounting: every ``column`` call counts, and a full sweep counts n.
     A sweep is :meth:`matvec` (:attr:`bulk_product`), which runs two halves
-    of the CSR view, the second on a helper thread, and the uncounted passes
-    (:meth:`diagonal_positions`, :meth:`column_sq_norms`) read the CSC
-    arrays in blocks without a ``column`` call.
+    of the CSR view, the second on a helper thread, and the uncounted
+    surveys (:meth:`diagonal_positions`, :meth:`column_sq_norms`) return
+    what the assembly recorded, with no ``column`` call.
     """
 
     bulk_product = True
@@ -446,6 +443,9 @@ class HubbardOracle(ColumnOracle):
         self._csc: sp.csc_matrix | None = None
         self._indptr: list[int] | None = None
         self._halves: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
+        self._diag_pos: np.ndarray | None = None
+        # each column's sum of squares without, then with, its diagonal entry
+        self._sq_norms: tuple[np.ndarray, np.ndarray] | None = None
 
     def _column(self, j: int) -> Column:
         if self._indptr is None:
@@ -466,6 +466,10 @@ class HubbardOracle(ColumnOracle):
         The column counts of :meth:`nnz_per_column` fix ``indptr``; the
         block kernel then writes each block's sorted entries straight into
         the final index and value arrays, so no block outlives its copy.
+        Each block's diagonal positions and sums of squares, with and
+        without the diagonal entry, are read from the kernel's block before
+        it goes; every column stores its diagonal entry, so each column has
+        one position and no column's run is empty.
         """
         if self._csc is not None:
             return
@@ -475,10 +479,23 @@ class HubbardOracle(ColumnOracle):
         index_dtype = np.int32 if dim < 2**31 else np.int64
         rows = np.empty(indptr[-1], dtype=index_dtype)
         data = np.empty(indptr[-1])
+        diag_pos = np.empty(dim, dtype=np.int64)
+        sq_norms = np.empty(dim), np.empty(dim)
         for lo in range(0, dim, _BLOCK_COLUMNS):
             hi = min(lo + _BLOCK_COLUMNS, dim)
-            rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = \
-                _column_kernel(self.spec, self.basis, lo, hi)
+            block_rows, block_vals = _column_kernel(self.spec, self.basis, lo, hi)
+            rows[indptr[lo]:indptr[hi]], data[indptr[lo]:indptr[hi]] = block_rows, block_vals
+            starts = indptr[lo:hi] - indptr[lo]
+            cols = np.repeat(np.arange(lo, hi, dtype=block_rows.dtype), np.diff(indptr[lo:hi + 1]))
+            on_diagonal = block_rows == cols
+            diag_pos[lo:hi] = np.flatnonzero(on_diagonal) - starts
+            sq = np.square(block_vals)
+            sq_norms[1][lo:hi] = np.add.reduceat(sq, starts)
+            sq[on_diagonal] = 0.0
+            sq_norms[0][lo:hi] = np.add.reduceat(sq, starts)
+        for recorded in (diag_pos, *sq_norms):
+            recorded.flags.writeable = False
+        self._diag_pos, self._sq_norms = diag_pos, sq_norms
         self._csc = sp.csc_matrix((data, rows, indptr), shape=(dim, dim))
         self._indptr = self._csc.indptr.tolist()  # Python ints slice faster
         self._halves = _row_halves(self._csc)
@@ -500,44 +517,16 @@ class HubbardOracle(ColumnOracle):
         lower = _helper().submit(bottom.dot, x)
         return np.concatenate((top @ x, lower.result()))
 
-    def _blocks(self):
-        """``(lo, hi, entries, cols)`` for each block of
-        :data:`_BLOCK_COLUMNS` columns ``lo .. hi-1``: the slice of the CSC
-        arrays that holds the block and each stored entry's column, so a
-        pass over the blocks keeps its scratch arrays small."""
-        self.prepare()
-        indptr = self._csc.indptr
-        for lo in range(0, self.dim, _BLOCK_COLUMNS):
-            hi = min(lo + _BLOCK_COLUMNS, self.dim)
-            yield lo, hi, slice(indptr[lo], indptr[hi]), np.repeat(
-                np.arange(lo, hi, dtype=self._csc.indices.dtype), np.diff(indptr[lo:hi + 1]))
-
     def diagonal_positions(self) -> np.ndarray:
-        """Each column's diagonal position, read from the CSC in blocks."""
-        out = np.full(self.dim, -1, dtype=np.int64)
-        for _, _, entries, cols in self._blocks():
-            at = np.flatnonzero(self._csc.indices[entries] == cols)
-            col = cols[at]
-            out[col] = at + entries.start - self._csc.indptr[col]
-        return out
+        """Each column's diagonal position, as :meth:`prepare` recorded it."""
+        self.prepare()
+        return self._diag_pos
 
     def column_sq_norms(self, diagonal: bool = True) -> np.ndarray:
-        """Each column's sum of squares, read from the CSC in blocks.
-
-        A block's squares go to one scratch array sized for the largest
-        block, and one ``np.add.reduceat`` sums them column by column; every
-        column stores its diagonal entry, so no column's run is empty.
-        """
+        """Each column's sum of squares, with or without its diagonal entry,
+        as :meth:`prepare` recorded it."""
         self.prepare()
-        indptr, indices, data = self._csc.indptr, self._csc.indices, self._csc.data
-        scratch = np.empty(np.diff(indptr[np.r_[0:self.dim:_BLOCK_COLUMNS, self.dim]]).max())
-        out = np.empty(self.dim)
-        for lo, hi, entries, cols in self._blocks():
-            sq = np.square(data[entries], out=scratch[:entries.stop - entries.start])
-            if not diagonal:
-                sq[indices[entries] == cols] = 0.0
-            out[lo:hi] = np.add.reduceat(sq, indptr[lo:hi] - entries.start)
-        return out
+        return self._sq_norms[bool(diagonal)]
 
     def nnz_per_column(self) -> np.ndarray:
         """Entries per column: read from the CSC once it exists, otherwise

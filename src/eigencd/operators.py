@@ -206,7 +206,8 @@ class DenseSymmetric(ColumnOracle):
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         super().__init__(a.shape[0])
-        self._a = 0.5 * (a + a.T)
+        # halved before the add, so entries near the float limit do not overflow
+        self._a = 0.5 * a + 0.5 * a.T
 
     @property
     def array(self) -> np.ndarray:
@@ -418,6 +419,8 @@ def load_dense(path) -> DenseSymmetric:
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
     n = parse_number(tokens[0], int, f"{path}: size")
+    if n < 1:
+        raise ValueError(f"{path}: size must be at least 1, got {n}")
     body = parse_floats(tokens[1:], f"{path}: entry")
     if body.size != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {body.size}")

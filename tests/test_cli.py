@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -374,13 +375,20 @@ class TestCommands:
          "entry.txt: entry must be a number, got 'x'"),
         (["solve", "--matrix", "{tmp}/size.txt", "--method", "GCD-LS-LS"],
          "size.txt: size must be an integer, got 'x'"),
+        (["solve", "--matrix", "{tmp}/size0.txt", "--method", "GCD-LS-LS"],
+         "size0.txt: size must be at least 1, got 0"),
+        (["solve", "--matrix", "{tmp}/size-1.txt", "--method", "GCD-LS-LS"],
+         "size-1.txt: size must be at least 1, got -1"),
     ], ids=["info-u-nan", "info-t-inf", "hubbard-t-nan", "hubbard-l2-x", "hubbard-unknown-key",
             "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude",
-            "x0-file-abc", "matrix-entry-x", "matrix-size-x"])
+            "x0-file-abc", "matrix-entry-x", "matrix-size-x", "matrix-size-0",
+            "matrix-size-negative"])
     def test_bad_spec_value_refused(self, argv, message, tmp_path, monkeypatch, capsys):
         (tmp_path / "x0.txt").write_text("1\nabc\n")
         (tmp_path / "entry.txt").write_text("2\n1.0 x\nx 3.0\n")
         (tmp_path / "size.txt").write_text("x\n1.0\n")
+        (tmp_path / "size0.txt").write_text("0\n")
+        (tmp_path / "size-1.txt").write_text("-1\n5.0\n")
         monkeypatch.setattr(cli, "compute_reference", _no_reference)
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         assert message in capsys.readouterr().err
@@ -427,6 +435,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "f* = ||A||_F^2 - lambda1^2 = " in err
         assert "rank one" in err and "eps_obj" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--synthetic", "n=3,l1=1e308,lo=1,hi=2"],
+        ["--synthetic", "n=3,l1=5,lo=1,hi=2", "--scale", "1e300"],
+    ], ids=["entries", "scale"])
+    def test_overflowing_frobenius_norm_refused(self, args, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", *args, "--method", "GCD-LS-LS"]) == 2
+        assert "||A||_F^2 = inf is not a finite number" in capsys.readouterr().err
 
     def test_one_by_one_matrix_refused(self, tmp_path, capsys):
         path = tmp_path / "one.txt"

@@ -168,13 +168,15 @@ class TestReference:
 
 class TestMetrics:
     def test_eps_obj_floor_and_unit(self):
-        assert eps_obj(5.0, 5.0) == 0.0
-        assert eps_obj(10.0, 5.0) == pytest.approx(1.0)
-        assert eps_obj(5.0 - 1e-12, 5.0) == 0.0  # tiny undershoot clamps
+        assert eps_obj(gap=0.0, fstar=5.0) == 0.0
+        assert eps_obj(gap=5.0, fstar=5.0) == pytest.approx(1.0)
+        assert eps_obj(gap=-1e-12, fstar=5.0) == 0.0  # tiny undershoot clamps
+        with pytest.raises(TypeError):
+            eps_obj(10.0, 5.0)  # the old (f, f*) call must not return a number
 
     def test_eps_obj_rejects_bad_fstar(self):
         with pytest.raises(ValueError):
-            eps_obj(1.0, 0.0)
+            eps_obj(gap=1.0, fstar=0.0)
 
     def test_projected_energy_examples(self, instance):
         a, ref = instance
@@ -268,6 +270,29 @@ class TestRunExperiment:
         predicted = math.log(1e-6 / start_eps) / math.log(rate)
         assert predicted / 2 <= out.iterations <= predicted * 2
         assert res.stats.total_col_access == 120 * out.iterations
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0])
+    def test_trace_reports_the_stop_rule_eps(self, shift, monkeypatch):
+        # at tol 1e-8 the gap is below the rounding of f = ||A||_F^2 - 2s + nu^2,
+        # so f - f* reads 0.0 unshifted and above tol under the shift
+        a = build_synthetic(SpectrumSpec.gapped_grid(30, 10.0, 0.5, 6.0, seed=33))
+        oracle = shift_scale(a, 1.0, shift) if shift else a
+        ref = compute_reference(oracle)
+        states = []
+        init_state = harness.init_state
+        monkeypatch.setattr(harness, "init_state",
+                            lambda *args, **kw: states.append(init_state(*args, **kw))
+                            or states[-1])
+        x0 = np.zeros(30)
+        x0[0] = 1.0
+        tol = 1e-8
+        out = run_single(oracle, parse_method("GCD-LS-LS"), x0, tol, 10**7, 0, ref)
+        (state,) = states
+        rule = math.sqrt(max(ref.lambda1 * ref.lambda1 - 2.0 * state.s + state.nu * state.nu,
+                             0.0) / ref.fstar)
+        assert out.status == "converged"
+        assert out.trace[-1].eps_obj == rule
+        assert 0.0 < rule < tol
 
     def test_stochastic_seeds_vary(self, instance):
         a, ref = instance

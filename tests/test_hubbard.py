@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import os
 
 import numpy as np
@@ -75,6 +77,17 @@ class TestHartreeFock:
         det = hf_determinant(spec44)
         assert det.up == det.down == 0b10011  # orbitals (0,0), (1,0), (0,1)
 
+    @pytest.mark.parametrize("l1,l2", [(4, 4), (6, 5), (5, 6), (3, 2), (31, 1)])
+    def test_fill_order_is_the_quantized_key_sort(self, l1, l2):
+        # ties in dispersion go to the smaller |k|^2, then the smaller index
+        def key(p):
+            k1, k2 = 2 * math.pi * (p % l1) / l1, 2 * math.pi * (p // l1) / l2
+            eps = -2.0 * (math.cos(k1) + math.cos(k2))
+            return round(eps / 1e-9), round((k1 * k1 + k2 * k2) / 1e-9), p
+
+        spec = LatticeSpec(l1=l1, l2=l2, n_up=0, n_down=0)
+        assert spec.fill_order == sorted(range(spec.n_orb), key=key)
+
     def test_five_electrons_closed_shell(self):
         spec = LatticeSpec(l1=4, l2=4, n_up=5, n_down=5)
         det = hf_determinant(spec)
@@ -104,6 +117,28 @@ class TestSectorEnumeration:
     def test_cap_guard(self, spec44):
         with pytest.raises(SectorTooLarge):
             enumerate_sector(spec44, max_dim=1000)
+
+    @pytest.mark.parametrize("l1,l2,counts", [
+        (1, 1, [0, 1]), (2, 1, [0, 1, 2]), (3, 2, [0, 1, 3, 6]), (4, 4, [0, 1, 8, 16]),
+        (31, 1, [0, 1, 2, 29, 30, 31]),
+    ], ids=["1x1", "2x1", "3x2", "4x4", "31x1"])
+    def test_momentum_tally_is_the_brute_force_count(self, l1, l2, counts):
+        spec = LatticeSpec(l1=l1, l2=l2, n_up=0, n_down=0)
+        tally = hubbard._momentum_tally(spec, max(counts))
+        assert tally.shape == (max(counts) + 1, l1, l2)
+        for count in counts:
+            brute = np.zeros((l1, l2), dtype=np.int64)
+            for combo in itertools.combinations(range(spec.n_orb), count):
+                brute[sum(p % l1 for p in combo) % l1, sum(p // l1 for p in combo) % l2] += 1
+            assert tally[count].tolist() == brute.tolist()
+
+    def test_cap_refused_before_any_mask_is_listed(self, monkeypatch):
+        def refuse_listing(*args):
+            raise AssertionError("masks were listed")
+
+        monkeypatch.setattr(hubbard, "_spin_masks", refuse_listing)
+        with pytest.raises(SectorTooLarge, match="sector dimension 802048167029550 exceeds"):
+            enumerate_sector(LatticeSpec(l1=6, l2=5, n_up=15, n_down=15))
 
     def test_states_sorted_and_indexed(self, small_oracle):
         basis = small_oracle.basis
