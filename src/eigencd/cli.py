@@ -18,10 +18,11 @@ import sys
 
 import numpy as np
 
+from . import hubbard
 from . import verify as verify_mod
 from .engine import StrategyConfig, stepsize_bound
-from .harness import (AllSeedsFailed, ReferenceFailure, ReferenceSolution, _slug,
-                      compute_reference, emit_trace, run_experiment)
+from .harness import (AllSeedsFailed, ReferenceFailure, _slug, compute_reference,
+                      emit_trace, run_experiment)
 from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge, sector_info
 from .operators import (ColumnOracle, SpectrumSpec, build_synthetic, load_dense,
                         parse_floats, parse_number, save_dense, shift_scale)
@@ -96,7 +97,10 @@ def _build_spec(spec: str, what: str, keys, build):
         key, sep, value = part.partition("=")
         if not sep:
             raise UsageError(f"bad {what} spec {spec!r}: expected key=value pairs")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in kv:
+            raise UsageError(f"{what} spec {spec!r}: {key} given twice")
+        kv[key] = value.strip()
     required = [key for key, _, default in keys if default is None]
     if not kv.keys() >= set(required):
         raise UsageError(f"{what} spec needs {'=, '.join(required)}=: {spec!r}")
@@ -239,20 +243,6 @@ def _checked(section: dict, keys, where: str, flags: bool) -> dict:
     return values
 
 
-def _checked_reference(oracle: ColumnOracle) -> ReferenceSolution:
-    """The reference, refused when the runs or their metric would be meaningless."""
-    reference = compute_reference(oracle)
-    if not reference.lambda1 > 0:
-        raise UsageError(f"no positive leading eigenvalue (lambda1 = {reference.lambda1:g})")
-    # f* = ||A||_F^2 - lambda1^2 carries rounding of about n ulps of ||A||_F^2
-    if abs(reference.fstar) <= oracle.dim * np.finfo(float).eps * reference.frob_sq:
-        raise UsageError(
-            f"f* = ||A||_F^2 - lambda1^2 = {reference.fstar:.3g} is rounding noise against "
-            f"||A||_F^2 = {reference.frob_sq:.6g}: the matrix is rank one, and the relative "
-            "gap eps_obj = sqrt((f - f*) / f*) is undefined for it")
-    return reference
-
-
 def _load_run(cfg: dict, flags: bool = False):
     """``(options, [(label, run), ...])`` for a bench config, each ``run()``
     one ``run_experiment``.  Keys are checked first, then the oracle, x0 and
@@ -296,7 +286,7 @@ def _load_run(cfg: dict, flags: bool = False):
             raise UsageError(f"{at}labels {methods[slug][0]!r} and {label!r} would write "
                              "the same trace files; give each method entry its own label")
         methods[slug] = (label, config)
-    reference = _checked_reference(oracle)
+    reference = compute_reference(oracle)
     run = functools.partial(run_experiment, oracle, x0=x0, tol=options["tol"],
                             max_col_access=options["max_col_access"], seeds=options["seeds"],
                             reference=reference, trace_stride=options["trace_stride"])
@@ -411,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     # an absent t or U takes parse_hubbard's default
     p_info.add_argument("--t", type=float)
     p_info.add_argument("--u", type=float)
-    p_info.add_argument("--max-dim", type=_positive_int, default=5_000_000)
+    p_info.add_argument("--max-dim", type=_positive_int, default=hubbard.DEFAULT_SECTOR_CAP)
     p_info.set_defaults(func=cmd_hubbard_info)
 
     p_verify = sub.add_parser("verify", help="run the invariant self-checks")

@@ -35,7 +35,8 @@ coordinates at the current state, from :func:`solve_cubic_min`.  That is
 :func:`cubic_min_roots` bit for bit, so each seed's gain is the very number
 the sweep computes for it.  Coordinate j can still be among the k best only
 when ``key_j >= -G``, up to the margins below, or when ``p_j <= 0``.  The
-sweep screens in two stages, and solves one coordinate at a time.
+sweep screens in two stages, and solves one coordinate at a time;
+:func:`_best_first` states the bar ``-G`` once, for both stages.
 
 First stage.  The keys are cached on the state as upper keys ``U_j``,
 computed at a reference ``nu0`` and valid for every ``nu`` with
@@ -776,11 +777,10 @@ def _solve(state: SolverState, j: int) -> tuple[float, float]:
 
 
 def _screen(state: SolverState, k: int) -> tuple[np.ndarray, dict] | None:
-    """The greedy sweep's first stage: ascending indices of the coordinates
-    whose cached key can still put them among the k best, and the seeds'
-    line searches as ``{j: (gain, alpha)}``; None when the state is out of
-    the screen's range and every coordinate must be solved.  See the module
-    docstring.
+    """The greedy sweep's cached upper keys, brought up to date, and the
+    line searches of at least k seeds as ``{j: (gain, alpha)}``; None when
+    the state is out of the screen's range and every coordinate must be
+    solved.  See the module docstring.
     """
     x, z, nu, diag = state.x, state.z, state.nu, state.oracle.diagonal
     cache = state._screen_cache
@@ -789,7 +789,6 @@ def _screen(state: SolverState, k: int) -> tuple[np.ndarray, dict] | None:
     if fresh:
         scale = abs(nu) + max_abs_diag(state.oracle)
         if not SCREEN_MIN_SCALE <= scale <= SCREEN_MAX_SCALE:
-            state._screen_cache = None
             return None
         cache = state._screen_cache = _ScreenCache(state, scale)
     elif cache.dirty:
@@ -798,27 +797,25 @@ def _screen(state: SolverState, k: int) -> tuple[np.ndarray, dict] | None:
         cache.keys[rows] = _screen_keys(cache.nu0, cache.drift, cache.scale_hi,
                                         x[rows], z[rows], diag[rows])
     keys = cache.keys
-    if fresh or len(seeds) < k:  # the lowest finite bound, the largest |d|
+    if fresh or len(seeds) < k:  # the largest finite bound, the largest |d|
         seeds.update(_largest(np.where(keys < np.inf, keys, -np.inf), k))
         seeds.update(_largest(state.abs_scores()[:x.size], k))
-    solved = {j: _solve(state, j) for j in seeds}
-    gains = sorted(gain for gain, _ in solved.values() if gain == gain)
-    # the k-th best seed gain; a NaN incumbent (fewer than k others) screens nothing out
-    bar = -gains[k - 1] if len(gains) >= k else -math.inf
-    return np.flatnonzero(keys >= bar), solved
+    return keys, {j: _solve(state, j) for j in seeds}
 
 
-def _best_first(state: SolverState, k: int, rows: np.ndarray,
+def _best_first(state: SolverState, k: int, keys: np.ndarray,
                 solved: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """The greedy sweep's second stage on the first stage's candidates
-    ``rows``: their keys at the current nu, solved from the largest down
-    until a key falls below ``-G_k``, the k-th best gain found.  Returns the
-    k best as ``(rows, alphas)`` ordered by (gain, index), or None where a
-    solved gain is NaN.  See the module docstring.
+    """Both stages' bar ``-G_k``, from the k best of the ``solved`` seeds:
+    the first stage keeps the coordinates whose upper ``keys`` reach it, and
+    the second solves them by their keys at the current nu from the largest
+    down, raising ``G_k`` as it goes, until a key falls below it.  Returns
+    the k best as ``(rows, alphas)`` ordered by (gain, index), or None where
+    a solved gain is NaN.  See the module docstring.
     """
     if any(gain != gain for gain, _ in solved.values()):
         return None
     top = sorted((gain, j) for j, (gain, _) in solved.items())[:k]
+    rows = np.flatnonzero(keys >= -top[-1][0])
     cache = state._screen_cache
     key = _screen_keys(state.nu, 0.0, cache.scale_hi, state.x[rows], state.z[rows],
                        state.oracle.diagonal[rows])
@@ -866,11 +863,11 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
     """
     if k < state.dim and state.dim >= SCREEN_MIN_DIM:
         screened = _screen(state, k)
-        if screened is not None:
-            picked = _best_first(state, k, *screened)
-            if picked is not None:
-                return picked
-            state._screen_cache = None  # a NaN gain: numpy's order over all n decides
+        picked = None if screened is None else _best_first(state, k, *screened)
+        if picked is not None:
+            return picked
+        # out of the screen's range, or a NaN gain: numpy's order over all n decides
+        state._screen_cache = None
     b, c, d = coord_coeffs(state.nu, state.x, state.z, state.oracle.diagonal)
     alphas = cubic_min_roots(b, c, d)
     gains = _quartic_gain(alphas, b, c, d)

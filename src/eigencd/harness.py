@@ -41,7 +41,8 @@ class ReferenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Leading eigenpair data every metric is measured against."""
+    """Leading eigenpair data every metric is measured against; refused
+    where ``eps_obj`` cannot score a run against it."""
 
     lambda1: float
     v1: np.ndarray
@@ -56,6 +57,15 @@ class ReferenceSolution:
             raise ValueError(
                 f"leading eigenvalue must be simple: lambda1 - lambda2 = {self.lambda1!r} - "
                 f"{self.lambda2!r} = {gap:.3g} is within the reference's resolution {bound:.3g}")
+        # eps_obj = sqrt((f - f*) / f*) needs minimizers +-sqrt(lambda1) v1 and an f*
+        # above its rounding, about n ulps of ||A||_F^2
+        if not self.lambda1 > 0:
+            raise ValueError(f"no positive leading eigenvalue (lambda1 = {self.lambda1:g})")
+        if not self.fstar > self.v1.size * np.finfo(float).eps * self.frob_sq:
+            raise ValueError(
+                f"f* = ||A||_F^2 - lambda1^2 = {self.fstar:.3g} is rounding noise against "
+                f"||A||_F^2 = {self.frob_sq:.6g}: the matrix is rank one, and the relative "
+                "gap eps_obj = sqrt((f - f*) / f*) is undefined for it")
 
 
 def _resolution(lam1: float) -> float:
@@ -262,14 +272,15 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                reference: ReferenceSolution, trace_stride: int = 0) -> RunOutcome:
     """Drive one seeded run to convergence, budget, or failure.
 
-    The energy metric projects onto ``x0``; the run stalls after
-    ``STALL_CHECKS`` checks without a new best gap.
+    The energy metric projects onto ``x0``.  Both detectors read the best
+    gap: the run diverges once ``f = gap + f*`` exceeds ``DIVERGENCE_FACTOR``
+    times the best f before it, and stalls after ``STALL_CHECKS`` checks
+    without a new best gap.
     """
     lam1 = reference.lambda1
     fstar = reference.fstar
     frob_sq = reference.frob_sq
     v1 = reference.v1
-    stall_checks = STALL_CHECKS
     ref_nonzero = np.flatnonzero(x0)
     sparse_ref = int(ref_nonzero[0]) if ref_nonzero.size == 1 else None
 
@@ -303,7 +314,6 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
 
     record()
     best_gap = gap()
-    best_f = objective()
     checks_since_best = 0
     status = "budget"
     while True:
@@ -315,9 +325,8 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         if accesses + k_per_step > max_col_access:
             status = "budget"
             break
-        f_val = objective()
-        f_floor = max(best_f, 1e-9 * max(frob_sq, 1.0))
-        if not math.isfinite(f_val) or f_val > DIVERGENCE_FACTOR * f_floor:
+        f_floor = max(best_gap + fstar, 1e-9 * max(frob_sq, 1.0))
+        if not math.isfinite(g) or g + fstar > DIVERGENCE_FACTOR * f_floor:
             status = "diverged"
             break
         if g < best_gap:
@@ -325,10 +334,9 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
             checks_since_best = 0
         else:
             checks_since_best += 1
-            if checks_since_best >= stall_checks:
+            if checks_since_best >= STALL_CHECKS:
                 status = "stalled"
                 break
-        best_f = min(best_f, f_val)
         try:
             step(state, config)
         except PowerIterationBreakdown:

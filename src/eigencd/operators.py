@@ -229,7 +229,7 @@ class SpectrumSpec:
     """Target spectrum for a randomly rotated synthetic test matrix.
 
     ``eigenvalues`` must be non-increasing with a positive, simple leading
-    value; ``seed`` fixes the random eigenbasis.
+    value; a non-negative ``seed`` fixes the random eigenbasis.
     """
 
     eigenvalues: np.ndarray
@@ -250,6 +250,8 @@ class SpectrumSpec:
             raise ValueError("eigenvalues must be sorted non-increasing")
         if lam.size > 1 and lam[0] <= lam[1]:
             raise ValueError(f"leading eigenvalue must be simple: {lam[0]} <= {lam[1]}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigencd import cli
+from eigencd import cli, hubbard
 from eigencd.cli import (UsageError, main, parse_hubbard, parse_method,
                          parse_synthetic, parse_x0)
 from eigencd.operators import DenseSymmetric, load_dense, save_dense
@@ -132,6 +132,12 @@ class TestCommands:
                   "--max-dim", "-1"])
         assert exc.value.code == 2
         assert "--max-dim: expected a positive integer, got '-1'" in capsys.readouterr().err
+
+    def test_hubbard_info_cap_defaults_to_the_sector_cap(self, monkeypatch, capsys):
+        # the 2x2 1+1 sector has dimension 4
+        monkeypatch.setattr(hubbard, "DEFAULT_SECTOR_CAP", 3)
+        assert main(["hubbard", "info", "--l", "2", "2", "--nup", "1", "--ndown", "1"]) == 1
+        assert "sector dimension 4 exceeds cap 3" in capsys.readouterr().err
 
     def test_zero_seeds_refused(self, capsys):
         assert main(["solve", "--synthetic", "n=10,l1=5,lo=1,hi=4",
@@ -379,10 +385,19 @@ class TestCommands:
          "size0.txt: size must be at least 1, got 0"),
         (["solve", "--matrix", "{tmp}/size-1.txt", "--method", "GCD-LS-LS"],
          "size-1.txt: size must be at least 1, got -1"),
+        (["solve", "--synthetic", "n=20,l1=500,n=30", "--method", "GCD-LS-LS", "--tol", "1e-3"],
+         "synthetic spec 'n=20,l1=500,n=30': n given twice"),
+        (["solve", "--hubbard", "l1=3,l2=2,nup=1,ndown=1,nup=2", "--method", "GCD-LS-LS"],
+         "hubbard spec 'l1=3,l2=2,nup=1,ndown=1,nup=2': nup given twice"),
+        (["solve", "--synthetic", "n=3,l1=5,lo=1,hi=2,seed=-1", "--method", "GCD-LS-LS"],
+         "synthetic spec 'n=3,l1=5,lo=1,hi=2,seed=-1': seed must be non-negative, got -1"),
+        (["gen", "--synthetic", "n=3,l1=5,lo=1,hi=2,seed=-1", "--out", "{tmp}/gen.txt"],
+         "synthetic spec 'n=3,l1=5,lo=1,hi=2,seed=-1': seed must be non-negative, got -1"),
     ], ids=["info-u-nan", "info-t-inf", "hubbard-t-nan", "hubbard-l2-x", "hubbard-unknown-key",
             "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude",
             "x0-file-abc", "matrix-entry-x", "matrix-size-x", "matrix-size-0",
-            "matrix-size-negative"])
+            "matrix-size-negative", "synthetic-repeated-key", "hubbard-repeated-key",
+            "synthetic-seed-negative", "gen-seed-negative"])
     def test_bad_spec_value_refused(self, argv, message, tmp_path, monkeypatch, capsys):
         (tmp_path / "x0.txt").write_text("1\nabc\n")
         (tmp_path / "entry.txt").write_text("2\n1.0 x\nx 3.0\n")

@@ -582,7 +582,7 @@ def test_each_margin_keeps_a_second_stage_solve(margin):
                           state.oracle.diagonal)
     assert bar[1] > np.max(np.delete(bar, 1))  # coordinate 1 alone is live
     solved = {0: (-float(bar[1]), 0.0)}
-    engine._best_first(state, 1, np.arange(state.dim), solved)
+    engine._best_first(state, 1, np.full(state.dim, np.inf), solved)
     assert 1 in solved
 
 
@@ -650,7 +650,7 @@ def test_best_first_matches_the_full_sweep(case, k):
     with np.errstate(all="ignore"):
         state._screen_cache = engine._ScreenCache(state, scale)
         solved = {j: engine._solve(state, j) for j in seeds}
-        picked = engine._best_first(state, k, np.arange(state.dim), solved)
+        picked = engine._best_first(state, k, np.full(state.dim, np.inf), solved)
         nan_gain = np.isnan(closed_forms(state)[1]).any()
         want = sweep_bits(*greedy_sweep(state, k))
     if nan_gain:
@@ -670,7 +670,7 @@ def test_best_first_orders_ties_by_index():
     for k, want in ((1, [1]), (3, [1, 3, 5]), (4, [1, 3, 5, 6])):
         solved = {5: engine._solve(state, 5), 0: engine._solve(state, 0),
                   2: engine._solve(state, 2), 4: engine._solve(state, 4)}
-        rows, alphas = engine._best_first(state, k, np.arange(7), solved)
+        rows, alphas = engine._best_first(state, k, np.full(7, np.inf), solved)
         assert rows.tolist() == want
         assert sweep_bits(rows, alphas) == sweep_bits(*greedy_sweep(state, k))
 

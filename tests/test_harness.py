@@ -1,21 +1,37 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eigencd import harness, operators
 from eigencd.cli import parse_method
-from eigencd.engine import StrategyConfig
+from eigencd.engine import StrategyConfig, init_state, step
 from eigencd.harness import (AllSeedsFailed, ReferenceSolution, TraceRecord,
                              compute_reference, emit_trace, eps_obj, eps_tan,
                              projected_energy, run_experiment,
                              run_single)
 from eigencd.hubbard import HubbardOracle, LatticeSpec
+from eigencd.landscape import objective
 from eigencd.operators import (DenseSymmetric, SpectrumSpec, build_synthetic,
                                shift_scale)
 
 from conftest import double_top
+
+
+def _rank_one(n: int) -> np.ndarray:
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    return 5.0 * np.outer(v, v)
+
+
+# the matrices the relative gap eps_obj cannot score, with the refusal of each
+UNSCORABLE = [
+    (np.diag(-np.arange(1.0, 7.0)), re.escape("no positive leading eigenvalue (lambda1 = -1)")),
+    (_rank_one(20), r"f\* = \|\|A\|\|_F\^2 - lambda1\^2 = .* is rounding noise against "
+                    r"\|\|A\|\|_F\^2 = 25: the matrix is rank one"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +181,30 @@ class TestReference:
         with pytest.raises(ValueError, match=r"lambda1 - lambda2 = .* resolution 8e-08"):
             compute_reference(double_top(n))
 
+    def test_rejects_a_negative_fstar(self):
+        # beyond rounding, but no f* of a real matrix: ||A||_F^2 >= lambda1^2
+        with pytest.raises(ValueError, match=r"f\* = .* = -1 is rounding noise"):
+            ReferenceSolution(lambda1=3.0, v1=np.array([1.0, 0.0]), lambda2=1.0,
+                              fstar=-1.0, frob_sq=8.0, source="dense")
+
+    @pytest.mark.parametrize("matrix,message", UNSCORABLE, ids=["negative-definite", "rank-one"])
+    def test_rejects_what_eps_obj_cannot_score(self, matrix, message):
+        oracle = DenseSymmetric(matrix)
+        with pytest.raises(ValueError, match=message):
+            compute_reference(oracle)
+        assert oracle.access_count == 0
+
+    @pytest.mark.parametrize("matrix,message", UNSCORABLE, ids=["negative-definite", "rank-one"])
+    def test_run_experiment_refuses_before_any_run(self, matrix, message, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started against an unscorable reference")
+
+        monkeypatch.setattr(harness, "run_single", no_run)
+        x0 = np.zeros(matrix.shape[0])
+        x0[0] = 1.0
+        with pytest.raises(ValueError, match=message):
+            run_experiment(DenseSymmetric(matrix), parse_method("GCD-LS-LS"), x0, 1e-6, 10**6)
+
 
 class TestMetrics:
     def test_eps_obj_floor_and_unit(self):
@@ -311,6 +351,32 @@ class TestRunExperiment:
         cfg = StrategyConfig(pick="cyclic", update="fixed_grad", gamma=10.0)
         with pytest.raises(AllSeedsFailed):
             run_experiment(a, cfg, x0, 1e-6, 10**7, reference=ref)
+
+    @pytest.mark.parametrize("factor", [2.0, harness.DIVERGENCE_FACTOR])
+    def test_divergence_stops_at_the_first_f_over_the_best_earlier_f(self, factor,
+                                                                     monkeypatch):
+        """A fixed step about 100 times the safe bound, replayed with the
+        objective computed from x: the run stops at the first step whose f
+        exceeds the factor times the best earlier f.  At factor 2 that is
+        step 14, where a rule on the gap f - f* would stop at step 15 on the
+        left of the comparison and at step 1 on its right."""
+        a = build_synthetic(SpectrumSpec.gapped_grid(20, 10.0, 0.5, 6.0, seed=33))
+        ref = compute_reference(a)
+        config = StrategyConfig(pick="cyclic", update="fixed_grad", gamma=0.18)
+        x0 = np.zeros(20)
+        x0[0] = 1.0
+        monkeypatch.setattr(harness, "DIVERGENCE_FACTOR", factor)
+        out = run_single(a, config, x0, 1e-6, 10**6, 0, ref)
+        state = init_state(a, x0, rng=np.random.default_rng(0))
+        best = objective(a.array, state.x, ref.frob_sq)
+        with np.errstate(all="ignore"):
+            for i in range(1, 100):
+                step(state, config)
+                f = objective(a.array, state.x, ref.frob_sq)
+                if not f <= factor * best:
+                    break
+                best = min(best, f)
+        assert (out.status, out.iterations) == ("diverged", i)
 
     def test_stall_detector_trips(self, instance, monkeypatch):
         a, ref = instance
