@@ -23,7 +23,7 @@ from . import verify as verify_mod
 from .engine import StrategyConfig, stepsize_bound
 from .harness import (AllSeedsFailed, ReferenceFailure, _slug, compute_reference,
                       emit_trace, run_experiment)
-from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge, sector_info
+from .hubbard import HubbardOracle, LatticeSpec, SectorTooLarge
 from .operators import (ColumnOracle, SpectrumSpec, build_synthetic, load_dense,
                         parse_floats, parse_number, save_dense, shift_scale)
 
@@ -127,7 +127,8 @@ def parse_hubbard(spec: str) -> LatticeSpec:
 
 
 def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
-    """Initial vectors: ``eJ[:amp]``, ``hf[:amp]``, or ``file:PATH``."""
+    """Initial vectors: ``eJ[:amp]``, ``hf[:amp]``, or ``file:PATH``, for the
+    matrix source ``oracle`` of ``kind`` as built, before any shift/scale."""
     if spec == "default":
         spec = "hf:10" if kind == "hubbard" else "e1"
     if spec.startswith("file:"):
@@ -141,12 +142,9 @@ def parse_x0(spec: str, oracle: ColumnOracle, kind: str) -> np.ndarray:
         body, _, amp_str = spec.partition(":")
         amp = parse_number(amp_str, float, f"x0 {spec!r}: amplitude") if amp_str else 1.0
         if body == "hf":
-            base = oracle
-            while not isinstance(base, HubbardOracle):
-                base = getattr(base, "base", None)
-                if base is None:
-                    raise UsageError("x0=hf needs a hubbard matrix source")
-            x0[base.hf_index] = amp
+            if kind != "hubbard":
+                raise UsageError("x0=hf needs a hubbard matrix source")
+            x0[oracle.hf_index] = amp
         elif body.startswith("e"):
             idx = parse_number(body[1:], int, f"x0 {spec!r}: coordinate") - 1  # e1 is the first
             if not 0 <= idx < oracle.dim:
@@ -265,9 +263,9 @@ def _load_run(cfg: dict, flags: bool = False):
     build = {"matrix": load_dense, "hubbard": lambda s: HubbardOracle(parse_hubbard(s)),
              "synthetic": lambda s: build_synthetic(parse_synthetic(s))}
     oracle: ColumnOracle = build[kind](options[kind])
+    x0 = parse_x0(options["x0"], oracle, kind)
     if options["scale"] != 1.0 or options["shift"] != 0.0:
         oracle = shift_scale(oracle, options["scale"], options["shift"])
-    x0 = parse_x0(options["x0"], oracle, kind)
     methods = {}  # trace file slug -> (label, config)
     for at, entry in entries:
         name = entry["name"]
@@ -351,14 +349,15 @@ def cmd_hubbard_info(args) -> int:
              "t": args.t, "u": args.u}
     spec = parse_hubbard(",".join(f"{key}={value}" for key, value in given.items()
                                   if value is not None))
-    info = sector_info(spec, max_dim=args.max_dim)
+    oracle = HubbardOracle(spec, max_dim=args.max_dim)
+    nnz, diag = oracle.nnz_per_column(), oracle.diagonal
     print(f"lattice {spec.l1}x{spec.l2}  t={spec.t_hop} U={spec.u}  "
           f"electrons {spec.n_up}+{spec.n_down}")
-    print(f"sector momentum = {info.sector_momentum}")
-    print(f"dim = {info.dim}")
-    print(f"nnz per col min/med/max = {info.nnz_min}/{info.nnz_median}/{info.nnz_max}")
-    print(f"diagonal range = [{info.diag_min}, {info.diag_max}]")
-    print(f"hf determinant index = {info.hf_index}")
+    print(f"sector momentum = {oracle.basis.sector_momentum}")
+    print(f"dim = {oracle.dim}")
+    print(f"nnz per col min/med/max = {nnz.min()}/{int(np.median(nnz))}/{nnz.max()}")
+    print(f"diagonal range = [{float(diag.min())}, {float(diag.max())}]")
+    print(f"hf determinant index = {oracle.hf_index}")
     return 0
 
 

@@ -401,13 +401,11 @@ class SolverState:
         self.oracle = oracle
         self.x = x
         self.z = z
-        self.nu = float(x @ x)
-        self.s = float(x @ z)
         self.ell = 0
         self.rng = rng
         self._applies = 0
         self._work = None
-        self._screen_cache: _ScreenCache | None = None
+        self.revalidate()
 
     @property
     def dim(self) -> int:
@@ -436,7 +434,7 @@ class SolverState:
     def revalidate(self) -> None:
         self.nu = float(self.x @ self.x)
         self.s = float(self.x @ self.z)
-        self._screen_cache = None
+        self._screen_cache: _ScreenCache | None = None
 
     def apply_coordinate_delta(self, j: int, alpha: float) -> None:
         """Move coordinate j by alpha and refresh the cached quantities.
@@ -449,7 +447,7 @@ class SolverState:
         rows = self.oracle.add_column(j, alpha, self.z)
         x[j] = xj_old + alpha
         self.nu += alpha * (2.0 * xj_old + alpha)
-        self.s += alpha * (2.0 * zj_old + alpha * self.oracle.diag(j))
+        self.s += alpha * (2.0 * zj_old + alpha * self.oracle.diagonal.item(j))
         if self._screen_cache is not None:
             if rows is None:
                 self._screen_cache = None  # a dense column touches every row
@@ -878,13 +876,13 @@ def pick_greedy_ls(state: SolverState, k: int = 1) -> tuple[np.ndarray, np.ndarr
     return order, alphas[order]
 
 
-def _vec_ls_direction(state: SolverState, omega: np.ndarray):
-    """Exact line search along ``v = grad f`` restricted to omega.
+def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> None:
+    """Exact line search along ``v = grad f`` restricted to omega, the draws.
 
     Pays each omega column once, every column as one
-    :meth:`ColumnOracle.sweep`; returns the optimal alpha, the direction
-    values on omega, and the full-length ``w = A v``.
+    :meth:`ColumnOracle.sweep`, then each duplicate draw its own access.
     """
+    omega, counts = np.unique(sampled, return_counts=True)
     x, z, nu = state.x, state.z, state.nu
     v = 4.0 * (nu * x[omega] - z[omega])
     if omega.size == state.dim:  # omega is sorted and distinct: every column
@@ -893,22 +891,13 @@ def _vec_ls_direction(state: SolverState, omega: np.ndarray):
         w = np.zeros(state.dim)
         state.oracle.add_columns(omega, v, w)
     nv2 = float(v @ v)
-    if nv2 == 0.0:
-        return 0.0, v, w
-    vtx = float(v @ x[omega])
-    vtz = float(v @ z[omega])
-    vav = float(v @ w[omega])
-    return solve_cubic_min(direction_cubic(nu, nv2, vtx, vtz, vav)), v, w
-
-
-def _apply_vec_ls(state: SolverState, sampled: np.ndarray) -> None:
-    uniq, counts = np.unique(sampled, return_counts=True)
-    alpha, v, w = _vec_ls_direction(state, uniq)
-    state.x[uniq] += alpha * v
-    state.z += alpha * w
+    alpha = 0.0 if nv2 == 0.0 else solve_cubic_min(direction_cubic(
+        nu, nv2, float(v @ x[omega]), float(v @ z[omega]), float(v @ w[omega])))
+    x[omega] += alpha * v
+    z += alpha * w
     state.revalidate()
     # duplicates sampled with replacement still cost their column access
-    for j in np.repeat(uniq, counts - 1):
+    for j in np.repeat(omega, counts - 1):
         state.oracle.column(int(j))
 
 

@@ -47,9 +47,13 @@ class ReferenceSolution:
     lambda1: float
     v1: np.ndarray
     lambda2: float
-    fstar: float
     frob_sq: float
     source: str
+
+    @property
+    def fstar(self) -> float:
+        """``f* = ||A||_F^2 - lambda1^2``, the objective at its minimizers."""
+        return self.frob_sq - self.lambda1 * self.lambda1
 
     def __post_init__(self):
         gap, bound = self.lambda1 - self.lambda2, _resolution(self.lambda1)
@@ -186,8 +190,7 @@ def compute_reference(oracle: ColumnOracle) -> ReferenceSolution:
             second = rng.standard_normal(n)
         lam2, _, _ = _lanczos_extreme(oracle.matvec, second, ortho_against=(v1,))
         source = "lanczos"
-    return ReferenceSolution(lambda1=lam1, v1=v1, lambda2=lam2,
-                             fstar=frob_sq - lam1 * lam1, frob_sq=frob_sq,
+    return ReferenceSolution(lambda1=lam1, v1=v1, lambda2=lam2, frob_sq=frob_sq,
                              source=source)
 
 
@@ -347,9 +350,12 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
             break
         if trace_stride and state.ell % trace_stride == 0:
             record()
-    record()
+    col_accesses = oracle.access_count - start_count
+    # every step charges an access, so an unmoved count means an unmoved state
+    if trace[-1].col_access != col_accesses:
+        record()
     return RunOutcome(seed=seed, status=status, iterations=state.ell,
-                      col_accesses=oracle.access_count - start_count,
+                      col_accesses=col_accesses,
                       final_nu=float(state.nu), trace=trace)
 
 
@@ -364,6 +370,8 @@ def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     of scheduling.  Non-converged seeds are excluded from the iteration
     stats; if every seed fails the experiment raises.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     config.validate()
     if reference is None:
         reference = compute_reference(oracle)

@@ -529,10 +529,8 @@ class HubbardOracle(ColumnOracle):
         return self._sq_norms[bool(diagonal)]
 
     def nnz_per_column(self) -> np.ndarray:
-        """Entries per column: read from the CSC once it exists, otherwise
-        counted from the per-mask move tables without forming any entry."""
-        if self._csc is not None:
-            return np.diff(self._csc.indptr)
+        """Entries per column, counted from the per-mask move tables without
+        forming any entry."""
         return _column_counts(self.spec, self.basis)
 
 
@@ -563,31 +561,3 @@ def _helper() -> ThreadPoolExecutor:
 
 # a forked child inherits the cached executor but not its thread
 os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
-@dataclass(frozen=True)
-class SectorInfo:
-    dim: int
-    sector_momentum: tuple[int, int]
-    nnz_min: int
-    nnz_median: int
-    nnz_max: int
-    diag_min: float
-    diag_max: float
-    hf_index: int
-
-
-def sector_info(spec: LatticeSpec, max_dim: int = DEFAULT_SECTOR_CAP) -> SectorInfo:
-    """Structural summary used by ``eigencd hubbard info``."""
-    oracle = HubbardOracle(spec, max_dim=max_dim)
-    nnz = oracle.nnz_per_column()
-    return SectorInfo(
-        dim=oracle.dim,
-        sector_momentum=oracle.basis.sector_momentum,
-        nnz_min=int(nnz.min()),
-        nnz_median=int(np.median(nnz)),
-        nnz_max=int(nnz.max()),
-        diag_min=float(oracle.diagonal.min()),
-        diag_max=float(oracle.diagonal.max()),
-        hf_index=oracle.hf_index,
-    )

@@ -69,9 +69,6 @@ class ColumnOracle(ABC):
         """Number of counted column evaluations so far."""
         return self._accesses
 
-    def reset_access_count(self) -> None:
-        self._accesses = 0
-
     @contextmanager
     def counting_paused(self):
         """Suspend access counting for setup passes (norms, references)."""
@@ -142,10 +139,6 @@ class ColumnOracle(ABC):
     def diagonal(self) -> np.ndarray:
         """``A[j, j]`` for every j, computed once; never counted."""
         return self._diagonal()
-
-    def diag(self, j: int) -> float:
-        """Diagonal entry ``A[j, j]``; never counted."""
-        return float(self.diagonal[j])
 
     def diagonal_positions(self) -> np.ndarray:
         """Where each column stores ``A[j, j]``, uncounted: j for a dense

@@ -7,7 +7,7 @@ import pytest
 from eigencd import cli, hubbard
 from eigencd.cli import (UsageError, main, parse_hubbard, parse_method,
                          parse_synthetic, parse_x0)
-from eigencd.operators import DenseSymmetric, load_dense, save_dense
+from eigencd.operators import DenseSymmetric, build_synthetic, load_dense, save_dense
 
 from conftest import double_top
 
@@ -95,6 +95,11 @@ class TestSpecParsers:
     def test_x0_out_of_range(self):
         with pytest.raises(UsageError):
             parse_x0("e9", DenseSymmetric(np.eye(4)), "matrix")
+
+    def test_x0_hf_needs_a_hubbard_source(self):
+        oracle = build_synthetic(parse_synthetic("n=20,l1=500"))
+        with pytest.raises(UsageError, match="x0=hf needs a hubbard matrix source"):
+            parse_x0("hf", oracle, "synthetic")
 
 
 class TestCommands:

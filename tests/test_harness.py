@@ -166,7 +166,7 @@ class TestReference:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             ReferenceSolution(lambda1=2.0, v1=np.array([1.0]), lambda2=2.0,
-                              fstar=1.0, frob_sq=5.0, source="dense")
+                              frob_sq=5.0, source="dense")
 
     def test_rejects_a_one_by_one_operator(self):
         oracle = DenseSymmetric(np.array([[5.0]]))
@@ -185,7 +185,7 @@ class TestReference:
         # beyond rounding, but no f* of a real matrix: ||A||_F^2 >= lambda1^2
         with pytest.raises(ValueError, match=r"f\* = .* = -1 is rounding noise"):
             ReferenceSolution(lambda1=3.0, v1=np.array([1.0, 0.0]), lambda2=1.0,
-                              fstar=-1.0, frob_sq=8.0, source="dense")
+                              frob_sq=8.0, source="dense")
 
     @pytest.mark.parametrize("matrix,message", UNSCORABLE, ids=["negative-definite", "rank-one"])
     def test_rejects_what_eps_obj_cannot_score(self, matrix, message):
@@ -296,6 +296,44 @@ class TestRunExperiment:
         t2 = run_single(a, cfg, x0, 1e-6, 10**7, 3, ref, trace_stride=50)
         assert t1.iterations == t2.iterations
         assert [r.__dict__ for r in t1.trace] == [r.__dict__ for r in t2.trace]
+
+    @pytest.mark.parametrize("tol,stride", [(1e-6, 1), (10.0, 0), (10.0, 1), (10.0, 5)])
+    def test_trace_writes_each_iteration_once(self, instance, tol, stride):
+        # tol 1e-6 stops on a stride point; tol 10 stops at iteration 0
+        a, ref = instance
+        x0 = np.zeros(120)
+        x0[0] = 1.0
+        cfg = StrategyConfig(pick="greedy_ls", update="coord_ls")
+        out = run_single(a, cfg, x0, tol, 10**7, 0, ref, trace_stride=stride)
+        assert out.status == "converged" and (out.iterations == 0) == (tol == 10.0)
+        assert [rec.iteration for rec in out.trace] == list(range(out.iterations + 1))
+
+    def test_step_failing_after_its_accesses_still_records_them(self):
+        # A e4 = 0: the power step charges its sweep, then breaks down at iteration 0
+        a = DenseSymmetric(np.diag([3.0, 2.0, 1.0, 0.0]))
+        x0 = np.zeros(4)
+        x0[3] = 1.0
+        out = run_single(a, StrategyConfig(pick="pm", update="coord_ls"), x0, 1e-6, 100, 0,
+                         compute_reference(a), trace_stride=1)
+        assert (out.status, out.iterations, out.col_accesses) == ("diverged", 0, 5)
+        assert [(rec.iteration, rec.col_access) for rec in out.trace] == [(0, 1), (0, 5)]
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    @pytest.mark.parametrize("config", [
+        StrategyConfig(pick="greedy_ls", update="coord_ls"),
+        StrategyConfig(pick="grad_power", update="coord_ls", t=1.0)],
+        ids=["deterministic", "stochastic"])
+    def test_no_seeds_refused_before_any_work(self, config, seeds, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for no seeds")
+
+        monkeypatch.setattr(harness, "compute_reference", no_work)
+        monkeypatch.setattr(harness, "run_single", no_work)
+        x0 = np.zeros(4)
+        x0[0] = 1.0
+        with pytest.raises(ValueError, match=rf"^seeds must be >= 1, got {seeds}$"):
+            run_experiment(DenseSymmetric(np.diag([4.0, 3.0, 2.0, 1.0])), config, x0,
+                           1e-6, 10**6, seeds=seeds)
 
     def test_power_method_rate(self, instance):
         a, ref = instance

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from eigencd import harness, hubbard
+from eigencd.cli import main
 from eigencd.harness import DENSE_REFERENCE_CUTOFF, compute_reference
 from eigencd.hubbard import (MAX_ORBITALS, Determinant, HubbardOracle,
-                             LatticeSpec, MomentumBasis, SectorInfo,
-                             SectorTooLarge, enumerate_sector,
-                             hamiltonian_column, hf_determinant, sector_info)
+                             LatticeSpec, MomentumBasis, SectorTooLarge,
+                             enumerate_sector, hamiltonian_column,
+                             hf_determinant)
 from eigencd.operators import shift_scale
 
 
@@ -240,7 +241,7 @@ class TestHamiltonianColumn:
             kin += sum(spec.dispersions[p] for p in range(spec.n_orb)
                        if det.down >> p & 1)
             expect = spec.t_hop * kin + spec.u / spec.n_orb * spec.n_up * spec.n_down
-            assert small_oracle.diag(i) == pytest.approx(expect, abs=1e-12)
+            assert small_oracle.diagonal[i] == pytest.approx(expect, abs=1e-12)
 
     def test_free_limit_is_diagonal(self):
         spec = LatticeSpec(l1=2, l2=2, n_up=2, n_down=1, u=0.0, t_hop=1.5)
@@ -248,7 +249,7 @@ class TestHamiltonianColumn:
         h = dense_sector_matrix(oracle)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         # non-interacting ground energy: best occupation within the sector
-        best = min(oracle.diag(i) for i in range(oracle.dim))
+        best = min(oracle.diagonal[i] for i in range(oracle.dim))
         kin = [sum(spec.dispersions[p] for p in range(4) if m >> p & 1)
                for m in (oracle.basis.state(i).up for i in range(oracle.dim))]
         kin2 = [sum(spec.dispersions[p] for p in range(4) if m >> p & 1)
@@ -265,9 +266,9 @@ class TestOracle:
         from eigencd.engine import init_state
         x0 = np.zeros(small_oracle.dim)
         x0[small_oracle.hf_index] = 10.0
-        small_oracle.reset_access_count()
+        before = small_oracle.access_count
         state = init_state(small_oracle, x0)
-        assert small_oracle.access_count == 1
+        assert small_oracle.access_count - before == 1
         assert state.nu == pytest.approx(100.0)
         with small_oracle.counting_paused():
             rows, vals = small_oracle.column(small_oracle.hf_index)
@@ -284,10 +285,10 @@ class TestOracle:
         assert np.array_equal(kernel, dense_sector_matrix(small_oracle))
 
     def test_cache_hits_still_count(self, small_oracle):
-        small_oracle.reset_access_count()
+        before = small_oracle.access_count
         small_oracle.column(0)
         small_oracle.column(0)
-        assert small_oracle.access_count == 2
+        assert small_oracle.access_count - before == 2
 
     def test_matvec_matches_dense(self, small_oracle):
         h = dense_sector_matrix(small_oracle)
@@ -428,18 +429,22 @@ class TestOracle:
         oracle.prepare()
         assert oracle.nnz_per_column().tolist() == expected
 
-    def test_sector_info_builds_no_csc(self, monkeypatch):
+    def test_hubbard_info_builds_no_csc(self, monkeypatch, capsys):
         spec = LatticeSpec(l1=3, l2=3, n_up=2, n_down=3, t_hop=0.5)
         oracle = HubbardOracle(spec)
         oracle.prepare()
         nnz = np.diff(oracle._csc.indptr)
         monkeypatch.setattr(hubbard, "_column_kernel", refuse_assembly)
         monkeypatch.setattr(HubbardOracle, "prepare", refuse_assembly)
-        assert sector_info(spec) == SectorInfo(
-            dim=oracle.dim, sector_momentum=oracle.basis.sector_momentum,
-            nnz_min=int(nnz.min()), nnz_median=int(np.median(nnz)),
-            nnz_max=int(nnz.max()), diag_min=float(oracle.diagonal.min()),
-            diag_max=float(oracle.diagonal.max()), hf_index=oracle.hf_index)
+        assert main(["hubbard", "info", "--l", "3", "3", "--nup", "2", "--ndown", "3",
+                     "--t", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "lattice 3x3  t=0.5 U=4.0  electrons 2+3",
+            f"sector momentum = {oracle.basis.sector_momentum}",
+            f"dim = {oracle.dim}",
+            f"nnz per col min/med/max = {int(nnz.min())}/{int(np.median(nnz))}/{int(nnz.max())}",
+            f"diagonal range = [{float(oracle.diagonal.min())}, {float(oracle.diagonal.max())}]",
+            f"hf determinant index = {oracle.hf_index}"]
 
 
 class TestGroundState:
