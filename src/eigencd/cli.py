@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -194,7 +195,8 @@ _RUN_KEYS = (
     ("tol", float, 1e-6, "> 0", None),
     ("max_col_access", int, 100_000_000, ">= 0", None),
     ("seeds", int, 20, ">= 1", None),
-    ("trace_stride", int, 0, ">= 0", "record every Nth iteration; 0 records none"),
+    ("trace_stride", int, 0, ">= 0",
+     "record every Nth iteration; 0 writes the start and end rows only"),
     ("out", str, None, None, "directory for trace/summary CSVs"),
     ("methods", list, None, None, None),
 )
@@ -241,13 +243,17 @@ def _checked(section: dict, keys, where: str, flags: bool) -> dict:
     return values
 
 
-def _load_run(cfg: dict, flags: bool = False):
+def _load_run(cfg: dict, flags: bool = False, out: str | None = None):
     """``(options, [(label, run), ...])`` for a bench config, each ``run()``
     one ``run_experiment``.  Keys are checked first, then the oracle, x0 and
     each method's config built, and the reference comes last, so no refusal
-    waits for it.  ``flags`` names each key by its solve flag."""
+    waits for it.  ``flags`` names each key by its solve flag; a given
+    ``out`` replaces the config's."""
     where = "" if flags else "bench config: "
     options = _checked(cfg, _RUN_KEYS, where, flags)
+    out = options["out"] = out or options["out"]
+    if out and os.path.exists(out) and not os.path.isdir(out):
+        raise UsageError(f"trace directory {out!r} exists and is not a directory")
     if not options["methods"]:
         raise UsageError(f"{where}methods must list at least one method entry")
     entries = []
@@ -323,8 +329,8 @@ def cmd_bench(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError("bench config: expected a JSON object")
-    options, runs = _load_run(cfg)
-    out_dir = args.out or options["out"] or "bench-out"
+    options, runs = _load_run(cfg, out=args.out or cfg.get("out") or "bench-out")
+    out_dir = options["out"]
     results = []
     failures = 0
     for label, run in runs:

@@ -212,11 +212,14 @@ _TWO_PI_3 = 2.0 * np.pi / 3.0
 # 138 -> 62, 1,820 156 -> 62, 3,185 228 -> 68, 4,036 260 -> 70, 19,600
 # 959 -> 82; dense synthetic n = 40 72 -> 67, 60 73 -> 68, 100 74 -> 65,
 # 250 80 -> 70, 500 95 -> 68, 1,000 118 -> 76, 2,000 171 -> 89, 3,000
-# 230 -> 110 (on dense input every sweep rebuilds all keys).  To a tight
-# tolerance small sectors lose, which is the floor's reason: us per
-# iteration from 10 e_HF, min of 5, one BLAS thread, to 1e-8, n = 39
-# (3x2 2+2) 83-87 -> 143-153; above the floor it wins at 1e-4 and 1e-8
-# alike, to 1e-8 n = 104 86 -> 74, 336 100 -> 90, 392 109 -> 75.
+# 230 -> 110 (on dense input every sweep rebuilds all keys).  Below the
+# floor the screen still wins at k = 1, with equal counts; us per iteration
+# on converging runs, full -> screened: dense n = 20 98 -> 89, 40 93 -> 85,
+# 60 94 -> 85, 99 96 -> 88; 3x2 2+2 (n = 39) to 1e-6 102 -> 86.  It loses at
+# k > 1, which is the floor's reason: GCD-LS-LS with k = 3 averaged on dense
+# n = 20 goes 102 -> 123 to 1e-8 and 109 -> 125 to 1e-6.  Above the floor it
+# wins at 1e-4 and 1e-8 alike: from 10 e_HF, min of 5, one BLAS thread, to
+# 1e-8, n = 104 86 -> 74, 336 100 -> 90, 392 109 -> 75.
 SCREEN_MIN_DIM = 100
 SCREEN_ETA = 2.0 ** -36
 SCREEN_MIN_SCALE = 2.0 ** -300
@@ -404,7 +407,7 @@ class SolverState:
         self.ell = 0
         self.rng = rng
         self._applies = 0
-        self._work = None
+        self._work = np.zeros(-(-x.size // SAMPLE_BLOCK) * SAMPLE_BLOCK)
         self.revalidate()
 
     @property
@@ -413,16 +416,13 @@ class SolverState:
 
     def scores(self) -> np.ndarray:
         """``c = nu x - z`` (the gradient is ``4 c``) in the head of a reused
-        work buffer zero-padded to whole blocks of :data:`SAMPLE_BLOCK`; slice
-        ``[:n]`` for the scores alone.  Valid until the next call."""
-        size = -(-self.dim // SAMPLE_BLOCK) * SAMPLE_BLOCK
-        buf = self._work
-        if buf is None or buf.size != size:
-            buf = self._work = np.zeros(size)
-        head = buf[:self.dim]
+        work buffer, zero-padded to whole blocks of the :data:`SAMPLE_BLOCK`
+        the state was built under; slice ``[:n]`` for the scores alone.
+        Valid until the next call."""
+        head = self._work[:self.dim]
         np.multiply(self.nu, self.x, out=head)
         np.subtract(head, self.z, out=head)
-        return buf
+        return self._work
 
     def abs_scores(self) -> np.ndarray:
         """``|c|`` in place of :meth:`scores`' buffer."""

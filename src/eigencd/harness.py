@@ -20,6 +20,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,20 @@ LANCZOS_BLOCK = 60
 LANCZOS_MAX_RESTARTS = 40
 LANCZOS_RESIDUAL_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
+# run_single refuses a start with x0 @ x0 above START_SCALE_FACTOR * lambda1.
+# The first steps collapse a huge coordinate, and the maintained nu and
+# z = A x then carry an absolute error near u ||x0||^2 until a revalidation
+# (every n applications: 19,600 on Hubbard 4x4 3+3).  From 1e20 e1 on
+# synthetic n = 20 (lambda1 = 500) GCD-LS-LS claimed eps_obj 0.0 at a lambda
+# estimate of 8.2e7; from 1e7 e_HF on 3+3 as 100 I - H GCD-Grad-LS claimed
+# 2.8e-8 against a true 1.0e-4.  Claimed against true eps_obj at tol 1e-6,
+# for GCD-LS-LS, CD-Cyc-LS, GCD-Grad-LS and SCD-Grad-LS(1), by ||x0||^2 /
+# lambda1: on n = 20 and n = 60 (lambda1 = 108) equal to two digits from 20
+# to 9.3e5, 9.8e-7 and 9.9e-7 against 1.0e-6 (greedy) at 2e7, 8.9e-7 against
+# 1.1e-6 (GCD-LS-LS) at 2e9; on 3+3 equal to five digits at 6.3e4 (hf:2700,
+# greedy).  The default starts are far inside: hf:10 is 0.87 lambda1 on 3+3,
+# e1 is lambda1 / 108 on n = 60.
+START_SCALE_FACTOR = 2.0 ** 16
 STALL_CHECKS = 1000
 
 
@@ -220,11 +235,12 @@ def eps_tan(x: np.ndarray, v1: np.ndarray) -> float:
     return float(np.sqrt(residual @ residual)) / abs(overlap)
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row; the field names are the trace CSV's header."""
+
     iteration: int
     col_access: int
-    f_value: float
+    f: float
     eps_obj: float
     eps_energy: float
     eps_tan: float
@@ -278,9 +294,17 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     The energy metric projects onto ``x0``.  Both detectors read the best
     gap: the run diverges once ``f = gap + f*`` exceeds ``DIVERGENCE_FACTOR``
     times the best f before it, and stalls after ``STALL_CHECKS`` checks
-    without a new best gap.
+    without a new best gap.  Refuses, before any access, a start with
+    ``x0 @ x0`` above ``START_SCALE_FACTOR * lambda1`` or not finite.
     """
     lam1 = reference.lambda1
+    with np.errstate(over="ignore"):
+        x0_sq = float(x0 @ x0)
+    if not x0_sq <= START_SCALE_FACTOR * lam1:
+        raise ValueError(
+            f"x0 @ x0 = {x0_sq:.6g} is above {START_SCALE_FACTOR:g} times lambda1 = "
+            f"{lam1:.6g}: from so far above the solution's scale the maintained A x and "
+            "||x||^2 lose the accuracy eps_obj is measured with; scale x0 down")
     fstar = reference.fstar
     frob_sq = reference.frob_sq
     v1 = reference.v1
@@ -309,7 +333,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
         trace.append(TraceRecord(
             iteration=state.ell,
             col_access=oracle.access_count - start_count,
-            f_value=float(objective()),
+            f=float(objective()),
             eps_obj=eps_obj(gap=gap(), fstar=fstar),
             eps_energy=float(e_energy),
             eps_tan=eps_tan(state.x, v1),
@@ -318,7 +342,6 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
     record()
     best_gap = gap()
     checks_since_best = 0
-    status = "budget"
     while True:
         g = gap()
         if eps_obj(gap=g, fstar=fstar) < tol:
@@ -346,7 +369,7 @@ def run_single(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
             status = "diverged"
             break
         except StationaryIterate:
-            status = "converged" if eps_obj(gap=gap(), fstar=fstar) < tol else "stalled"
+            status = "stalled"  # raised before the state moved, found short of tol above
             break
         if trace_stride and state.ell % trace_stride == 0:
             record()
@@ -399,7 +422,6 @@ def run_experiment(oracle: ColumnOracle, config: StrategyConfig, x0: np.ndarray,
                             config=config, stats=stats, outcomes=outcomes)
 
 
-_TRACE_HEADER = ["iteration", "col_access", "f", "eps_obj", "eps_energy", "eps_tan"]
 _SUMMARY_HEADER = ["Method", "k", "MinIter", "MedIter", "MaxIter", "TotalColAccess"]
 
 
@@ -409,19 +431,16 @@ def _slug(label: str) -> str:
 
 def emit_trace(results: list[ExperimentResult], out_dir) -> None:
     """Write one trace CSV per (method, seed) plus the summary table."""
-    os.makedirs(out_dir, exist_ok=True)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for result in results:
             for outcome in result.outcomes:
                 path = os.path.join(
                     out_dir, f"trace_{_slug(result.label)}_seed{outcome.seed}.csv")
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
-                    writer.writerow(_TRACE_HEADER)
-                    for rec in outcome.trace:
-                        writer.writerow([rec.iteration, rec.col_access,
-                                         repr(rec.f_value), repr(rec.eps_obj),
-                                         repr(rec.eps_energy), repr(rec.eps_tan)])
+                    writer.writerow(TraceRecord._fields)
+                    writer.writerows([repr(v) for v in rec] for rec in outcome.trace)
         summary = os.path.join(out_dir, "summary.csv")
         with open(summary, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -293,8 +293,7 @@ class ShiftScaled(ColumnOracle):
         self._base = base
         self._a = float(a)
         self._b = float(b)
-        self._diag_pos: list[int] | None = None
-        self._diag_list: list[float] | None = None
+        self._diag_pos: np.ndarray | None = None
 
     @property
     def base(self) -> ColumnOracle:
@@ -321,9 +320,9 @@ class ShiftScaled(ColumnOracle):
             self.prepare()
         rows, vals = self._base._column(j)
         out = vals * self._a
-        pos = self._diag_pos[j]
+        pos = self._diag_pos.item(j)
         if pos >= 0:
-            out[pos] = self._diag_list[j]
+            out[pos] = self.diagonal.item(j)
             return rows, out
         at = np.searchsorted(rows, j)
         return np.insert(rows, at, j), np.insert(out, at, self._b)
@@ -343,8 +342,7 @@ class ShiftScaled(ColumnOracle):
     def prepare(self) -> None:
         self._base.prepare()
         if self._diag_pos is None:
-            self._diag_list = self.diagonal.tolist()
-            self._diag_pos = self._base.diagonal_positions().tolist()
+            self._diag_pos = self._base.diagonal_positions()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._a * self._base.matvec(x) + self._b * x

@@ -117,9 +117,12 @@ def engine_suite(seed: int = 1) -> list[CheckRow]:
     rows.append(("column accounting is exactly k per step", used == 1000,
                  f"init {base - before}, steps {used}"))
 
-    state.revalidate()
-    nu_err = abs(state.nu - float(state.x @ state.x))
-    rows.append(("cached scalars survive revalidation", nu_err == 0.0, f"nu drift {nu_err:.1e}"))
+    x, ax = state.x, a.matvec(state.x)  # uncounted
+    errs = (abs(state.nu - x @ x) / (x @ x), abs(state.s - x @ ax) / abs(x @ ax),
+            np.linalg.norm(state.z - ax) / np.linalg.norm(ax))
+    rows.append(("cached nu, s and z match x and A x before revalidation",
+                 all(err <= 1e-12 for err in errs),
+                 "relative errors nu {:.1e}, s {:.1e}, z {:.1e}".format(*errs)))
     return rows
 
 

@@ -295,6 +295,73 @@ class TestCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_bench_config_not_an_object_refused(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps([{"synthetic": "n=10,l1=5,lo=1,hi=4",
+                                     "methods": [{"name": "GCD-LS-LS"}]}]))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "error: bench config: expected a JSON object" in capsys.readouterr().err
+
+    def test_existing_file_as_trace_directory_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "compute_reference", _no_reference)
+        monkeypatch.chdir(tmp_path)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("0\n")
+        source = {"synthetic": "n=20,l1=500", "methods": [{"name": "GCD-LS-LS"}]}
+        assert main(["solve", "--synthetic", source["synthetic"], "--method", "GCD-LS-LS",
+                     "--out", str(taken)]) == 2
+        message = f"error: trace directory {str(taken)!r} exists and is not a directory"
+        assert message in capsys.readouterr().err
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(source))
+        assert main(["bench", "--config", str(path), "--out", str(taken)]) == 2
+        assert message in capsys.readouterr().err
+        path.write_text(json.dumps({**source, "out": str(taken)}))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        (tmp_path / "bench-out").write_text("")
+        path.write_text(json.dumps(source))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert "error: trace directory 'bench-out' exists and is not a directory" \
+            in capsys.readouterr().err
+        assert taken.read_text() == "0\n"
+
+    def test_bench_reports_a_failing_method_and_writes_the_rest(self, tmp_path, capsys):
+        methods = [{"name": "SCD-Grad-LS(1)"}, {"name": "GCD-LS-LS"}]
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"synthetic": "n=60,l1=108", "max_col_access": 1500,
+                                    "seeds": 2, "methods": methods}))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "SCD-Grad-LS(1): FAILED (SCD-Grad-LS(1): no seed converged " \
+               "(statuses: ['budget']))" in out
+        assert "GCD-LS-LS: k=1 iters" in out
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["summary.csv", "trace_GCD-LS-LS_seed0.csv"]
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary] == ["Method", "GCD-LS-LS"]
+        path.write_text(json.dumps({"synthetic": "n=60,l1=108", "max_col_access": 1500,
+                                    "seeds": 2, "methods": methods[:1]}))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "none")]) == 1
+        assert "SCD-Grad-LS(1): FAILED" in capsys.readouterr().out
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--replacement", "false", "--k", "2"]],
+                             ids=["k1", "distinct-k2"])
+    def test_start_at_a_saddle_stalls(self, extra, tmp_path, capsys):
+        path = tmp_path / "diag.txt"
+        save_dense(path, np.diag([4.0, 1.0, 0.5]))
+        assert main(["solve", "--matrix", str(path), "--method", "SCD-Grad-LS(1)",
+                     "--x0", "e2", "--seeds", "2", *extra]) == 1
+        assert "no seed converged (statuses: ['stalled'])" in capsys.readouterr().err
+
+    def test_start_far_above_the_solution_scale_refused(self, capsys):
+        assert main(["solve", "--synthetic", "n=20,l1=500", "--method", "GCD-LS-LS",
+                     "--x0", "e1:1e20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x0 @ x0 = 1e+40 is above 65536 times lambda1 = 500: ")
+        assert err.rstrip().endswith("scale x0 down")
+
     @pytest.mark.parametrize("method", ["GCD-LS-LS", "PM"])
     def test_zero_x0_refused(self, method, capsys):
         assert main(["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4",
@@ -398,17 +465,33 @@ class TestCommands:
          "synthetic spec 'n=3,l1=5,lo=1,hi=2,seed=-1': seed must be non-negative, got -1"),
         (["gen", "--synthetic", "n=3,l1=5,lo=1,hi=2,seed=-1", "--out", "{tmp}/gen.txt"],
          "synthetic spec 'n=3,l1=5,lo=1,hi=2,seed=-1': seed must be non-negative, got -1"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS",
+          "--x0", "foo"], "bad x0 spec 'foo'"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "SCD-Grad-LS(x)"],
+         "bad sampling power in method name 'SCD-Grad-LS(x)'"),
+        (["solve", "--synthetic", "n=20,l1=5,lo=1,hi=4", "--method", "GCD-LS-LS", "--k", "0"],
+         "batch size k must be >= 1"),
+        (["solve", "--synthetic", "n=20,l1", "--method", "GCD-LS-LS"],
+         "bad synthetic spec 'n=20,l1': expected key=value pairs"),
+        (["solve", "--matrix", "{tmp}/empty.txt", "--method", "GCD-LS-LS"],
+         "empty.txt: empty matrix file"),
+        (["solve", "--matrix", "{tmp}/zero.txt", "--method", "CD-Cyc-Grad"],
+         "zero operator has no meaningful stepsize bound"),
     ], ids=["info-u-nan", "info-t-inf", "hubbard-t-nan", "hubbard-l2-x", "hubbard-unknown-key",
             "synthetic-n-abc", "synthetic-seed-float", "x0-no-index", "x0-bad-amplitude",
             "x0-file-abc", "matrix-entry-x", "matrix-size-x", "matrix-size-0",
             "matrix-size-negative", "synthetic-repeated-key", "hubbard-repeated-key",
-            "synthetic-seed-negative", "gen-seed-negative"])
+            "synthetic-seed-negative", "gen-seed-negative", "x0-unknown-form",
+            "method-bad-power", "k-0", "synthetic-no-value", "matrix-empty",
+            "matrix-zero-fixed-step"])
     def test_bad_spec_value_refused(self, argv, message, tmp_path, monkeypatch, capsys):
         (tmp_path / "x0.txt").write_text("1\nabc\n")
         (tmp_path / "entry.txt").write_text("2\n1.0 x\nx 3.0\n")
         (tmp_path / "size.txt").write_text("x\n1.0\n")
         (tmp_path / "size0.txt").write_text("0\n")
         (tmp_path / "size-1.txt").write_text("-1\n5.0\n")
+        (tmp_path / "empty.txt").write_text("")
+        save_dense(tmp_path / "zero.txt", np.zeros((3, 3)))
         monkeypatch.setattr(cli, "compute_reference", _no_reference)
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         assert message in capsys.readouterr().err

@@ -767,11 +767,11 @@ def sampled_scores(draw):
 @given(case=sampled_scores())
 def test_certified_pick_matches_sequential_cumsum(case):
     block, floor, c, t, draws = case
-    state = scores_state(c)
-    state.rng = ChosenDraws(draws)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SAMPLE_BLOCK", block)
         mp.setattr(engine, "SAMPLE_MIN_DIM", floor)
+        state = scores_state(c)  # its score buffer is padded to the patched block
+        state.rng = ChosenDraws(draws)
         picks = pick_grad_power(state, t, draws.size)
     assert picks.tolist() == sequential_pick(c, t, draws).tolist()
     assert state.rng.values == []
@@ -859,11 +859,11 @@ def test_unscaled_certificate_matches_sequential_pick(case):
     """At t = 1 the certificate reads no max|c|; the sequential sampler,
     which divides by it, picks the same coordinates."""
     block, c, draws = case
-    state = scores_state(c)
-    state.rng = ChosenDraws(draws)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "SAMPLE_BLOCK", block)
         mp.setattr(engine, "SAMPLE_MIN_DIM", block)
+        state = scores_state(c)
+        state.rng = ChosenDraws(draws)
         picks = pick_grad_power(state, 1.0, draws.size)
     assert picks.tolist() == sequential_pick(c, 1.0, draws).tolist()
     assert state.rng.values == []

@@ -295,7 +295,7 @@ class TestRunExperiment:
         t1 = run_single(a, cfg, x0, 1e-6, 10**7, 3, ref, trace_stride=50)
         t2 = run_single(a, cfg, x0, 1e-6, 10**7, 3, ref, trace_stride=50)
         assert t1.iterations == t2.iterations
-        assert [r.__dict__ for r in t1.trace] == [r.__dict__ for r in t2.trace]
+        assert [r._asdict() for r in t1.trace] == [r._asdict() for r in t2.trace]
 
     @pytest.mark.parametrize("tol,stride", [(1e-6, 1), (10.0, 0), (10.0, 1), (10.0, 5)])
     def test_trace_writes_each_iteration_once(self, instance, tol, stride):
@@ -334,6 +334,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"^seeds must be >= 1, got {seeds}$"):
             run_experiment(DenseSymmetric(np.diag([4.0, 3.0, 2.0, 1.0])), config, x0,
                            1e-6, 10**6, seeds=seeds)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_far_above_the_solution_scale_refused(self, monkeypatch):
+        a = build_synthetic(SpectrumSpec.gapped_grid(20, 500.0))
+        ref = compute_reference(a)
+        config = parse_method("GCD-LS-LS")
+        x0 = np.zeros(20)
+        for amp, shown in ((1e20, "1e+40"), (1e200, "inf")):
+            x0[0] = amp
+            with pytest.raises(ValueError, match=rf"^x0 @ x0 = {re.escape(shown)} is above "
+                                                 r"65536 times lambda1 = 500: .* scale x0 down$"):
+                run_experiment(a, config, x0, 1e-6, 10**6, reference=ref)
+        assert a.access_count == 0
+        # just inside the bound the run converges, and its eps_obj is the true one
+        x0[0] = math.sqrt(0.99 * harness.START_SCALE_FACTOR * ref.lambda1)
+        states = []
+        monkeypatch.setattr(harness, "init_state",
+                            lambda *args, **kw: states.append(init_state(*args, **kw))
+                            or states[-1])
+        out = run_single(a, config, x0, 1e-6, 10**6, 0, ref)
+        x = states[0].x
+        gap = ref.lambda1 ** 2 - 2.0 * (x @ a.matvec(x)) + (x @ x) ** 2
+        true_eps = eps_obj(gap=gap, fstar=ref.fstar)
+        assert out.status == "converged"
+        assert out.trace[-1].eps_obj == pytest.approx(true_eps, rel=1e-2)
 
     def test_power_method_rate(self, instance):
         a, ref = instance
@@ -447,7 +472,7 @@ def read_trace(path) -> list[TraceRecord]:
         header = next(reader)
         assert header == ["iteration", "col_access", "f", "eps_obj", "eps_energy", "eps_tan"]
         return [TraceRecord(iteration=int(row[0]), col_access=int(row[1]),
-                            f_value=float(row[2]), eps_obj=float(row[3]),
+                            f=float(row[2]), eps_obj=float(row[3]),
                             eps_energy=float(row[4]), eps_tan=float(row[5]))
                 for row in reader]
 
@@ -463,7 +488,7 @@ class TestTraceIO:
         emit_trace([res], tmp_path)
         for out in res.outcomes:
             back = read_trace(tmp_path / f"trace_SCD-Grad-LS-1-_seed{out.seed}.csv")
-            assert [r.__dict__ for r in back] == [r.__dict__ for r in out.trace]
+            assert [r._asdict() for r in back] == [r._asdict() for r in out.trace]
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert summary[0] == "Method,k,MinIter,MedIter,MaxIter,TotalColAccess"
         assert summary[1].startswith("SCD-Grad-LS(1),1,")
@@ -486,7 +511,7 @@ class TestTraceIO:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "col_access", "f", "eps_obj", "eps_energy", "eps_tan"])
-            w.writerow([rec.iteration, rec.col_access, repr(rec.f_value),
+            w.writerow([rec.iteration, rec.col_access, repr(rec.f),
                         repr(rec.eps_obj), repr(rec.eps_energy), repr(rec.eps_tan)])
         back = read_trace(path)[0]
         assert math.isinf(back.eps_tan)
